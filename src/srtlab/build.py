@@ -5,8 +5,8 @@ syntax by hand; these helpers keep those listings readable.
 """
 
 from .flowchart import (
-    Assign, Cons, Eq, Hd, If, IsAtom, Program, Quote, Seq, Tl, UnivCall,
-    Var, While,
+    Assign, Cons, Eq, Hd, If, IsAtom, Program, Quote, SelfRef, Seq, Tl,
+    UnivCall, Var, While,
 )
 from .sexpr import NIL, Atom
 
@@ -57,7 +57,6 @@ def univ(p, d):
 
 
 def selfref():
-    from .flowchart import SelfRef
     return SelfRef()
 
 

@@ -172,6 +172,41 @@ class UnivCall(_Node):
         self.arg = arg
 
 
+_CMD, _EXPR, _NAME, _DATUM = "command", "expression", "name", "datum"
+
+#: One row per node kind: class, tag, name in DecodeError messages and
+#: ordered fields (command, expression, assigned variable name or datum).
+#: It decides each kind's encoding, ``(tag field ...)`` or one atom for
+#: Var and SelfRef, and which fields the walkers below visit and rename.
+_SYNTAX = {
+    _CMD: (
+        (Assign, ":=", "assignment", (("var", _NAME), ("expr", _EXPR))),
+        (Seq, ";", "sequence", (("first", _CMD), ("second", _CMD))),
+        (While, "while", "while", (("test", _EXPR), ("body", _CMD))),
+        (If, "if", "if", (("test", _EXPR), ("then", _CMD), ("orelse", _CMD))),
+    ),
+    _EXPR: (
+        (Var, None, "variable", (("name", _NAME),)),
+        (SelfRef, "*", None, ()),
+        (Quote, "QUOTE", "QUOTE", (("value", _DATUM),)),
+        (Hd, "hd", "hd", (("arg", _EXPR),)),
+        (Tl, "tl", "tl", (("arg", _EXPR),)),
+        (Cons, "cons", "cons", (("left", _EXPR), ("right", _EXPR))),
+        (Eq, "=", "=", (("left", _EXPR), ("right", _EXPR))),
+        (IsAtom, "atom?", "atom?", (("arg", _EXPR),)),
+        (UnivCall, "univ", "univ", (("prog", _EXPR), ("arg", _EXPR))),
+    ),
+}
+_ROWS = {row[0]: row for rows in _SYNTAX.values() for row in rows}
+_CHILDREN = {cls: tuple(f for f, kind in fields if kind in (_CMD, _EXPR))
+             for cls, _, _, fields in _ROWS.values()}
+#: Compound kinds by category and tag; fields numbered, last one first.
+_TAGGED = {category: {tag: (cls, what, len(fields) + 1, tuple(reversed(
+                          [(i, f, k) for i, (f, k) in enumerate(fields, 1)])))
+                      for cls, tag, what, fields in rows if cls not in (Var, SelfRef)}
+           for category, rows in _SYNTAX.items()}
+
+
 # ---------------------------------------------------------------------------
 # program <-> s-expression codec
 
@@ -185,9 +220,6 @@ class DecodeError(ValueError):
                 text = text[:77] + "..."
             message = f"{message}: {text}"
         super().__init__(message)
-
-
-_COMMAND_TAGS = {":=", ";", "while", "if"}
 
 
 def _expect_list(s, length, what):
@@ -218,9 +250,9 @@ def decode(s, allow_reserved=False):
 
     ``allow_reserved`` admits '%'-prefixed variables, which only appear
     in machine-generated programs; hand-written source is rejected.
+    Every node, and the program, keeps its source as its encoding.
     """
-    items = _expect_list(s, 3, "program")
-    inputs_s, body_s, output_s = items
+    inputs_s, body_s, output_s = _expect_list(s, 3, "program")
     inputs = []
     rest = inputs_s
     while type(rest) is Pair:
@@ -228,7 +260,7 @@ def decode(s, allow_reserved=False):
         rest = rest.tail
     if not is_nil(rest):
         raise DecodeError("input list is improper", inputs_s)
-    body = _decode_command(body_s, allow_reserved)
+    body = _decode_body(body_s, allow_reserved)
     output = _decode_varname(output_s, allow_reserved, "output variable")
     try:
         program = Program(inputs, body, output)
@@ -238,72 +270,46 @@ def decode(s, allow_reserved=False):
     return program
 
 
-def _decode_command(s, allow_reserved):
-    if type(s) is not Pair or type(s.head) is not Atom:
-        raise DecodeError("expected a command", s)
-    tag = s.head.name
-    if tag == ":=":
-        items = _expect_list(s, 3, "assignment")
-        node = Assign(_decode_varname(items[1], allow_reserved, "assigned variable"),
-                      _decode_expr(items[2], allow_reserved))
-    elif tag == ";":
-        items = _expect_list(s, 3, "sequence")
-        node = Seq(_decode_command(items[1], allow_reserved),
-                   _decode_command(items[2], allow_reserved))
-    elif tag == "while":
-        items = _expect_list(s, 3, "while")
-        node = While(_decode_expr(items[1], allow_reserved),
-                     _decode_command(items[2], allow_reserved))
-    elif tag == "if":
-        items = _expect_list(s, 4, "if")
-        node = If(_decode_expr(items[1], allow_reserved),
-                  _decode_command(items[2], allow_reserved),
-                  _decode_command(items[3], allow_reserved))
-    else:
-        raise DecodeError("unknown command tag", s)
-    node._enc = s
-    return node
-
-
-def _decode_expr(s, allow_reserved):
-    if type(s) is Atom:
-        if s.name == "*":
-            node = SelfRef()
+def _decode_body(s, allow_reserved):
+    """Decode a command top-down, each node before its children, so the
+    first malformed subtree in left-to-right order is the one reported."""
+    new = object.__new__
+    top = new(Seq)  # a scratch parent: its first field receives the root
+    todo = [(s, _CMD, top, "first")]
+    while todo:
+        s, category, parent, slot = todo.pop()
+        if type(s) is Atom and category is _EXPR:
+            node = new(SelfRef if s.name == "*" else Var)
+            if type(node) is Var:
+                node.name = _decode_varname(s, allow_reserved, _ROWS[Var][2])
+        elif type(s) is not Pair or type(s.head) is not Atom:
+            raise DecodeError("expected a command" if category is _CMD else
+                              "expression head must be an operator atom", s)
+        elif s.head.name not in _TAGGED[category]:
+            raise DecodeError(f"unknown {category} tag", s)
         else:
-            node = Var(_decode_varname(s, allow_reserved, "variable"))
+            cls, what, arity, fields = _TAGGED[category][s.head.name]
+            items = []  # _expect_list, inlined: univ decodes on every call
+            rest = s
+            while type(rest) is Pair:
+                items.append(rest.head)
+                rest = rest.tail
+            if rest.name != "()":
+                raise DecodeError(f"improper list in {what}", s)
+            if len(items) != arity:
+                raise DecodeError(f"wrong arity for {what}", s)
+            node = new(cls)
+            for i, field, kind in fields:
+                if kind is _NAME:
+                    setattr(node, field, _decode_varname(
+                        items[i], allow_reserved, "assigned variable"))
+                elif kind is _DATUM:
+                    setattr(node, field, items[i])
+                else:
+                    todo.append((items[i], kind, node, field))
         node._enc = s
-        return node
-    if type(s.head) is not Atom:
-        raise DecodeError("expression head must be an operator atom", s)
-    tag = s.head.name
-    if tag == "QUOTE":
-        items = _expect_list(s, 2, "QUOTE")
-        node = Quote(items[1])
-    elif tag == "hd":
-        items = _expect_list(s, 2, "hd")
-        node = Hd(_decode_expr(items[1], allow_reserved))
-    elif tag == "tl":
-        items = _expect_list(s, 2, "tl")
-        node = Tl(_decode_expr(items[1], allow_reserved))
-    elif tag == "cons":
-        items = _expect_list(s, 3, "cons")
-        node = Cons(_decode_expr(items[1], allow_reserved),
-                    _decode_expr(items[2], allow_reserved))
-    elif tag == "=":
-        items = _expect_list(s, 3, "=")
-        node = Eq(_decode_expr(items[1], allow_reserved),
-                  _decode_expr(items[2], allow_reserved))
-    elif tag == "atom?":
-        items = _expect_list(s, 2, "atom?")
-        node = IsAtom(_decode_expr(items[1], allow_reserved))
-    elif tag == "univ":
-        items = _expect_list(s, 3, "univ")
-        node = UnivCall(_decode_expr(items[1], allow_reserved),
-                        _decode_expr(items[2], allow_reserved))
-    else:
-        raise DecodeError("unknown expression tag", s)
-    node._enc = s
-    return node
+        setattr(parent, slot, node)
+    return top.first
 
 
 def encode(node):
@@ -314,172 +320,96 @@ def encode(node):
     fixpoint constructions rely on this to keep the printed program a
     DAG rather than a tree.
     """
-    cached = node._enc
-    if cached is not None:
-        return cached
+    if node._enc is not None:
+        return node._enc
     if type(node) is Program:
-        enc = from_list([
-            from_list([Atom(v) for v in node.inputs]),
-            encode(node.body),
-            Atom(node.output),
-        ])
-    elif type(node) is Assign:
-        enc = from_list([Atom(":="), Atom(node.var), encode(node.expr)])
-    elif type(node) is Seq:
-        enc = from_list([Atom(";"), encode(node.first), encode(node.second)])
-    elif type(node) is While:
-        enc = from_list([Atom("while"), encode(node.test), encode(node.body)])
-    elif type(node) is If:
-        enc = from_list([Atom("if"), encode(node.test), encode(node.then),
-                         encode(node.orelse)])
-    elif type(node) is Var:
-        enc = Atom(node.name)
-    elif type(node) is Quote:
-        enc = from_list([Atom("QUOTE"), node.value])
-    elif type(node) is Hd:
-        enc = from_list([Atom("hd"), encode(node.arg)])
-    elif type(node) is Tl:
-        enc = from_list([Atom("tl"), encode(node.arg)])
-    elif type(node) is Cons:
-        enc = from_list([Atom("cons"), encode(node.left), encode(node.right)])
-    elif type(node) is Eq:
-        enc = from_list([Atom("="), encode(node.left), encode(node.right)])
-    elif type(node) is IsAtom:
-        enc = from_list([Atom("atom?"), encode(node.arg)])
-    elif type(node) is SelfRef:
-        enc = Atom("*")
-    elif type(node) is UnivCall:
-        enc = from_list([Atom("univ"), encode(node.prog), encode(node.arg)])
-    else:
-        raise TypeError(f"cannot encode {node!r}")
-    node._enc = enc
-    return enc
+        node._enc = from_list([from_list([Atom(v) for v in node.inputs]),
+                               encode(node.body), Atom(node.output)])
+        return node._enc
+    todo = [(node, False)]  # (node, children encoded?), children first
+    while todo:
+        top, ready = todo.pop()
+        cls = type(top)
+        if top._enc is not None:  # a node queued twice is encoded once
+            continue
+        if cls is Var:
+            top._enc = Atom(top.name)
+        elif cls is SelfRef:
+            top._enc = Atom("*")
+        elif not ready:
+            todo.append((top, True))
+            for field in _CHILDREN[cls]:
+                todo.append((getattr(top, field), False))
+        else:
+            enc = NIL
+            for field, kind in reversed(_ROWS[cls][3]):
+                value = getattr(top, field)
+                enc = Pair(value._enc if kind is _CMD or kind is _EXPR else
+                           Atom(value) if kind is _NAME else value, enc)
+            top._enc = Pair(Atom(_ROWS[cls][1]), enc)
+    return node._enc
 
 
 # ---------------------------------------------------------------------------
 # AST utilities
 
-def expr_vars(expr, acc=None):
-    """Set of variable names read by an expression."""
+def _nodes(root):
+    """Every AST node under ``root``, itself included.  A node's children
+    are read after it is yielded, so the caller may replace them."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        yield node
+        for field in _CHILDREN[type(node)]:
+            todo.append(getattr(node, field))
+
+
+def expr_vars(node, acc=None):
+    """Set of variable names read by an expression or a command."""
     if acc is None:
         acc = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Var:
-            acc.add(node.name)
-        elif t in (Hd, Tl, IsAtom):
-            stack.append(node.arg)
-        elif t is Cons:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif t is Eq:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif t is UnivCall:
-            stack.append(node.prog)
-            stack.append(node.arg)
+    acc.update(n.name for n in _nodes(node) if type(n) is Var)
     return acc
 
 
 def command_vars(cmd):
     """All variable names occurring in a command (read or assigned)."""
-    assigned, read = set(), set()
-    stack = [cmd]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Assign:
-            assigned.add(node.var)
-            expr_vars(node.expr, read)
-        elif t is Seq:
-            stack.append(node.first)
-            stack.append(node.second)
-        elif t is While:
-            expr_vars(node.test, read)
-            stack.append(node.body)
-        elif t is If:
-            expr_vars(node.test, read)
-            stack.append(node.then)
-            stack.append(node.orelse)
-    return assigned | read
-
-
-def _rename_expr(expr, mapping):
-    t = type(expr)
-    if t is Var:
-        return Var(mapping.get(expr.name, expr.name))
-    if t is Quote or t is SelfRef:
-        return expr
-    if t is Hd:
-        return Hd(_rename_expr(expr.arg, mapping))
-    if t is Tl:
-        return Tl(_rename_expr(expr.arg, mapping))
-    if t is IsAtom:
-        return IsAtom(_rename_expr(expr.arg, mapping))
-    if t is Cons:
-        return Cons(_rename_expr(expr.left, mapping),
-                    _rename_expr(expr.right, mapping))
-    if t is Eq:
-        return Eq(_rename_expr(expr.left, mapping),
-                  _rename_expr(expr.right, mapping))
-    if t is UnivCall:
-        return UnivCall(_rename_expr(expr.prog, mapping),
-                        _rename_expr(expr.arg, mapping))
-    raise TypeError(f"cannot rename {expr!r}")
+    return {getattr(node, field) for node in _nodes(cmd)
+            for field, kind in _ROWS[type(node)][3] if kind is _NAME}
 
 
 def rename_command(cmd, mapping):
-    """Alpha-rename variables (quoted constants are untouched data)."""
-    t = type(cmd)
-    if t is Assign:
-        return Assign(mapping.get(cmd.var, cmd.var),
-                      _rename_expr(cmd.expr, mapping))
-    if t is Seq:
-        return Seq(rename_command(cmd.first, mapping),
-                   rename_command(cmd.second, mapping))
-    if t is While:
-        return While(_rename_expr(cmd.test, mapping),
-                     rename_command(cmd.body, mapping))
-    if t is If:
-        return If(_rename_expr(cmd.test, mapping),
-                  rename_command(cmd.then, mapping),
-                  rename_command(cmd.orelse, mapping))
-    raise TypeError(f"cannot rename {cmd!r}")
+    """Alpha-rename variables (quoted constants are untouched data).
+
+    Every node is rebuilt except Quote and SelfRef nodes, which hold no
+    variable and are shared with ``cmd``.
+    """
+    if type(cmd) not in (Assign, Seq, While, If):
+        raise TypeError(f"cannot rename {cmd!r}")
+    root = _renamed(cmd, mapping)
+    for node in _nodes(root):
+        for field in _CHILDREN[type(node)]:
+            setattr(node, field, _renamed(getattr(node, field), mapping))
+    return root
+
+
+def _renamed(node, mapping):
+    """Copy of ``node`` with its names renamed and the same children."""
+    cls = type(node)
+    if cls is Quote or cls is SelfRef:
+        return node
+    copy = object.__new__(cls)
+    copy._enc = None
+    for field, kind in _ROWS[cls][3]:
+        value = getattr(node, field)
+        setattr(copy, field, mapping.get(value, value) if kind is _NAME else value)
+    return copy
 
 
 def is_tiny(program):
     """True iff the body is straight-line: assignment and sequencing only."""
-    stack = [program.body]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Seq:
-            stack.append(node.first)
-            stack.append(node.second)
-        elif t is Assign:
-            if _expr_is_tiny(node.expr):
-                continue
-            return False
-        else:
-            return False
-    return True
-
-
-def _expr_is_tiny(expr):
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t in (SelfRef, UnivCall):
-            return False
-        if t in (Hd, Tl, IsAtom):
-            stack.append(node.arg)
-        elif t in (Cons, Eq):
-            stack.append(node.left)
-            stack.append(node.right)
-    return True
+    return all(type(node) not in (While, If, SelfRef, UnivCall)
+               for node in _nodes(program.body))
 
 
 # ---------------------------------------------------------------------------

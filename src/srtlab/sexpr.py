@@ -105,55 +105,50 @@ def _tokenize(text):
 
 
 def parse(text):
-    """Parse one s-expression; reject leftover tokens."""
+    """Parse one s-expression; reject leftover tokens.
+
+    Iterative: ``values``, ``dot`` (the index of a dotted tail) and
+    ``start`` describe the innermost open list, ``outer`` the others.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 0)
-    value, rest = _parse_tokens(tokens, 0)
-    if rest != len(tokens):
-        raise ParseError("stray tokens after expression", tokens[rest][1])
-    return value
-
-
-def _parse_tokens(tokens, pos):
-    tok, offset = tokens[pos]
-    if tok == ")":
-        raise ParseError("unbalanced ')'", offset)
-    if tok == ".":
-        raise ParseError("unexpected '.'", offset)
-    if tok != "(":
-        return Atom(tok), pos + 1
-
-    # list or dotted pair
-    pos += 1
-    elements = []
-    tail = None
-    while True:
-        if pos >= len(tokens):
-            raise ParseError("unbalanced '('", offset)
-        tok, toffset = tokens[pos]
-        if tok == ")":
-            pos += 1
-            break
-        if tok == ".":
-            if not elements or tail is not None:
-                raise ParseError("misplaced '.'", toffset)
-            pos += 1
-            if pos >= len(tokens) or tokens[pos][0] in (")", "."):
-                raise ParseError("missing value after '.'", toffset)
-            tail, pos = _parse_tokens(tokens, pos)
+    outer = []
+    values = dot = start = None  # values is None outside every list
+    for pos, (tok, offset) in enumerate(tokens):
+        if tok == "(" or (tok != ")" and tok != "."):
+            if dot is not None and dot < len(values):
+                raise ParseError("more than one value after '.'", offset)
+            if tok == "(":
+                outer.append((values, dot, start))
+                values, dot, start = [], None, offset
+                continue
+            value = Atom(tok)
+        elif values is None:
+            raise ParseError("unbalanced ')'" if tok == ")" else "unexpected '.'",
+                             offset)
+        elif tok == ".":
+            if not values or dot is not None:
+                raise ParseError("misplaced '.'", offset)
+            if pos + 1 == len(tokens) or tokens[pos + 1][0] in (")", "."):
+                raise ParseError("missing value after '.'", offset)
+            dot = len(values)
             continue
-        if tail is not None:
-            raise ParseError("more than one value after '.'", toffset)
-        value, pos = _parse_tokens(tokens, pos)
-        elements.append(value)
-
-    if tail is None and not elements:
-        return Atom("()"), pos
-    result = tail if tail is not None else NIL
-    for element in reversed(elements):
-        result = Pair(element, result)
-    return result, pos
+        else:
+            if not values:
+                value = Atom("()")
+            else:
+                value = NIL if dot is None else values.pop()
+                for element in reversed(values):
+                    value = Pair(element, value)
+            values, dot, start = outer.pop()
+        if values is None:
+            if pos + 1 != len(tokens):
+                raise ParseError("stray tokens after expression",
+                                 tokens[pos + 1][1])
+            return value
+        values.append(value)
+    raise ParseError("unbalanced '('", start)
 
 
 def sexpr_print(s):

@@ -6,10 +6,11 @@ straight-line flowchart program operating on encoded programs, so it can
 be run, specialised and self-applied like any other data.
 """
 
+from .build import QA, lst
 from .flowchart import (
-    Assign, Cons, Hd, If, Program, Quote, Seq, Tl, Var, While, expr_vars,
+    Assign, Hd, If, Program, Quote, Seq, Tl, Var, While, expr_vars,
 )
-from .sexpr import NIL, Atom
+from .sexpr import NIL
 
 __all__ = ["specialize", "s11_program", "eliminate_dead_code"]
 
@@ -31,18 +32,6 @@ def specialize(program, value):
     )
 
 
-def _quoted_atom(name):
-    return Quote(Atom(name))
-
-
-def _list_expr(*items):
-    """Expression building the list of the given item expressions."""
-    result = Quote(NIL)
-    for item in reversed(items):
-        result = Cons(item, result)
-    return result
-
-
 def s11_program():
     """The specialiser as a two-input straight-line program.
 
@@ -58,19 +47,19 @@ def s11_program():
                 Assign("outputvar", Hd(Tl(Tl(pgm)))),
                 Seq(
                     Assign("initialise",
-                           _list_expr(_quoted_atom(":="),
-                                      Var("inputvar"),
-                                      _list_expr(_quoted_atom("QUOTE"),
-                                                 Var("s")))),
+                           lst(QA(":="),
+                               Var("inputvar"),
+                               lst(QA("QUOTE"),
+                                   Var("s")))),
                     Seq(
                         Assign("body",
-                               _list_expr(_quoted_atom(";"),
-                                          Var("initialise"),
-                                          Var("C"))),
+                               lst(QA(";"),
+                                   Var("initialise"),
+                                   Var("C"))),
                         Assign("outpgm",
-                               _list_expr(Tl(Hd(pgm)),
-                                          Var("body"),
-                                          Var("outputvar"))),
+                               lst(Tl(Hd(pgm)),
+                                   Var("body"),
+                                   Var("outputvar"))),
                     ),
                 ),
             ),
@@ -90,69 +79,56 @@ def eliminate_dead_code(program):
     treated as live throughout the construct, and the constructs
     themselves are always kept.
     """
-    body, _ = _sweep(program.body, {program.output})
+    body = _sweep(program.body, {program.output})
     if body is None:
         body = Assign(program.output, Var(program.output))
     return Program(program.inputs, body, program.output)
 
 
-def _reads_within(cmd, acc):
-    """Variables read anywhere inside a command."""
-    stack = [cmd]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Assign:
-            expr_vars(node.expr, acc)
-        elif t is Seq:
-            stack.append(node.first)
-            stack.append(node.second)
-        elif t is While:
-            expr_vars(node.test, acc)
-            stack.append(node.body)
-        elif t is If:
-            expr_vars(node.test, acc)
-            stack.append(node.then)
-            stack.append(node.orelse)
-    return acc
-
-
 def _sweep(cmd, live):
-    """Return (kept command or None, live set before the command)."""
-    t = type(cmd)
-    if t is Assign:
-        if cmd.var not in live:
-            return None, live
-        before = set(live)
-        before.discard(cmd.var)
-        expr_vars(cmd.expr, before)
-        return cmd, before
-    if t is Seq:
-        second, live = _sweep(cmd.second, live)
-        first, live = _sweep(cmd.first, live)
-        if first is None:
-            return second, live
-        if second is None:
-            return first, live
-        return Seq(first, second), live
-    if t is While:
-        inner = _reads_within(cmd, set())
-        loop_live = live | inner
-        body, _ = _sweep(cmd.body, loop_live)
-        node = cmd if body is cmd.body or body is None else While(cmd.test, body)
-        return node, loop_live
-    if t is If:
-        inner = _reads_within(cmd, set())
-        branch_live = live | inner
-        then, _ = _sweep(cmd.then, branch_live)
-        orelse, _ = _sweep(cmd.orelse, branch_live)
-        # the construct itself is always kept (its test may loop via univ);
-        # fully dead arms shrink to a harmless reserved-variable assignment
-        then = then if then is not None else _noop()
-        orelse = orelse if orelse is not None else _noop()
-        node = cmd if (then is cmd.then and orelse is cmd.orelse) else If(cmd.test, then, orelse)
-        return node, branch_live
-    raise TypeError(f"cannot sweep {cmd!r}")
+    """The kept part of ``cmd`` (None if nothing) given ``live`` after it.
+
+    A task (cmd, start, join) on ``todo`` resets ``live`` to ``start``
+    unless that is None, then sweeps ``cmd``, or with ``join`` rebuilds
+    ``cmd`` from the parts that its sweep left on ``kept``.
+    """
+    kept = []
+    todo = [(cmd, None, False)]
+    while todo:
+        cmd, start, join = todo.pop()
+        live = live if start is None else start
+        t = type(cmd)
+        if join and t is Seq:
+            first, second = kept.pop(), kept.pop()
+            kept.append(second if first is None else first if second is None
+                        else Seq(first, second))
+        elif join and t is While:
+            body = kept.pop()
+            kept.append(cmd if body is cmd.body or body is None
+                        else While(cmd.test, body))
+        elif join:
+            # the construct itself is always kept (its test may loop via univ);
+            # fully dead arms shrink to a harmless reserved-variable assignment
+            orelse, then = kept.pop() or _noop(), kept.pop() or _noop()
+            kept.append(cmd if then is cmd.then and orelse is cmd.orelse
+                        else If(cmd.test, then, orelse))
+        elif t is Assign and cmd.var in live:
+            live = expr_vars(cmd.expr, live - {cmd.var})
+            kept.append(cmd)
+        elif t is Assign:
+            kept.append(None)
+        elif t is Seq:
+            todo += ((cmd, None, True), (cmd.first, None, False),
+                     (cmd.second, None, False))
+        elif t is While or t is If:
+            # every variable read inside the construct is live throughout it
+            inner = expr_vars(cmd, set(live))
+            arms = (cmd.body,) if t is While else (cmd.orelse, cmd.then)
+            todo.append((cmd, inner, True))
+            todo += ((arm, inner, False) for arm in arms)
+        else:
+            raise TypeError(f"cannot sweep {cmd!r}")
+    return kept.pop()
 
 
 def _noop():

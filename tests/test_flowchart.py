@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from srtlab.build import QA, V, asg, prog, univ, wh
+from srtlab.build import QA, V, asg, hd, prog, seq, univ, wh
 from srtlab.flowchart import (
-    Assign, DecodeError, RunResult, Seq, Var, decode, encode, is_tiny, run,
+    Assign, DecodeError, RunResult, Seq, Var, command_vars, decode, encode,
+    is_tiny, rename_command, run,
 )
 from srtlab.proggen import random_inputs, random_tiny_program
 from srtlab.sexpr import equal, parse, sexpr_print, to_unary
+from srtlab.specializer import eliminate_dead_code
+from srtlab.srt import kleene_fixpoint, moss_fixpoint
 
 FUEL = 10**6
 
@@ -65,10 +68,40 @@ def test_encode_decode_round_trip_is_identity():
         "((x) (if (atom? x) (:= out (QUOTE 1)) (:= out (cons x x))) out)",
         "((p d) (:= out (univ p d)) out)",
         "((q d) (:= out *) out)",
+        "((x) (:= out (= (hd x) x)) out)",
     ]:
         s = parse(text)
         assert encode(decode(s)) is s  # decode caches its source encoding
         assert sexpr_print(encode(decode(s))) == text
+
+
+def _deep_program(shape, n=10**5):
+    if shape == "hd-chain":
+        expr = V("d")
+        for _ in range(n):
+            expr = hd(expr)
+        return prog(("q", "d"), asg("out", expr), "out")
+    return prog(("q", "d"),
+                seq(asg("out", V("d")),
+                    *[asg("out", V("out")) for _ in range(n - 1)]),
+                "out")
+
+
+@pytest.mark.parametrize("shape", ["hd-chain", "seq-chain"])
+def test_walkers_handle_any_depth(shape):
+    # run is left out: its compiled closures still recurse per node
+    p = _deep_program(shape)
+    s = encode(p)
+    assert encode(decode(s)) is s
+    text = sexpr_print(s)
+    assert sexpr_print(parse(text)) == text
+    assert command_vars(p.body) == {"d", "out"}
+    assert command_vars(rename_command(p.body, {"out": "o"})) == {"d", "o"}
+    assert is_tiny(p)
+    assert command_vars(eliminate_dead_code(p).body) == {"d", "out"}
+    for fixpoint in (kleene_fixpoint(p), moss_fixpoint(p)):
+        again = decode(encode(fixpoint), allow_reserved=True)
+        assert encode(again) is encode(fixpoint)
 
 
 def test_run_first_projection():
