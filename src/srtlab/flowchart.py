@@ -1,10 +1,16 @@
-"""Flowchart programs over symbolic trees, and their interpreter.
+"""Flowchart programs over symbolic trees, and their executor.
 
 The straight-line core has assignment and sequencing only ("tiny"
 programs: constant running time).  The Turing-complete extension adds
 ``while`` and ``if``; the reflective extension adds the constant ``*``
 (the running program's own text) and a native ``univ`` call form,
-executed by a recursive invocation of the running interpreter.
+which runs the encoded program inside the same run and fuel budget.
+
+``run`` compiles each program to one Python function (cached on the
+program) and charges each straight-line block of steps with one fuel
+check.  Native univ calls and deeply nested control run on an explicit
+stack of generators, so fuel and memory bound their depth, not the
+Python stack.
 
 Programs have a bijective s-expression concrete syntax, so programs are
 ordinary data:
@@ -17,9 +23,15 @@ with commands/exprs in prefix form: ``(:= x e)``, ``(; c1 c2)``,
 
 Cost model: 1 step per executed assignment, per operator application,
 per variable/constant/self access, and per while/if test event; the
-final read of the output variable is a variable access.  Execution
-aborts with ``fuel_exhausted`` the moment the count would pass the fuel
-bound, which makes "runs within t steps" decidable.
+final read of the output variable is a variable access.  Operands are
+evaluated left to right before their operator; a test event is charged
+before its test.  Execution aborts with ``fuel_exhausted`` and
+``steps == fuel`` the moment the count would pass the fuel bound, which
+makes "runs within t steps" decidable.  A ``runtime_error`` keeps the
+steps charged before it: ``*`` or ``univ`` in plain mode fails before
+its own step (and ``univ`` before its operands); ``univ`` on a
+non-program or on a program without exactly one input fails after its
+operands and its dispatch step.
 """
 
 from .sexpr import (
@@ -448,230 +460,329 @@ class _Exhausted(Exception):
 
 
 class _Fault(Exception):
-    def __init__(self, detail):
+    def __init__(self, detail, steps):
         self.detail = detail
+        self.steps = steps
 
 
-class _Budget:
-    __slots__ = ("steps", "fuel")
+def _fault(steps, fuel, detail):
+    """Fail with ``detail`` after ``steps`` steps, unless fuel ran out first."""
+    if steps > fuel:
+        raise _Exhausted()
+    raise _Fault(detail, steps)
 
-    def __init__(self, fuel):
-        self.steps = 0
-        self.fuel = fuel
+
+#: The names generated code reads besides its own.
+_GLOBALS = {"Atom": Atom, "Pair": Pair, "NIL": NIL, "ONE": ONE,
+            "equal": equal, "EX": _Exhausted, "fault": _fault}
+#: Control nesting at which a while or if moves to a function of its
+#: own: CPython compiles at most 20 nested loops and 100 indent levels.
+_MAX_NEST = 16
+#: How many compiled sources ``_CODE`` keeps.
+_CODE_CACHE_SIZE = 256
+#: Source text -> its ``make`` function, least recently used first.
+#: Constants and the self text are arguments of ``make``, so programs
+#: of one shape (up to variable names) share an entry.  This pays off
+#: only when shapes repeat, as with a fresh ``s11_program()`` in each
+#: Futamura stage.  A program of a new shape pays for ``compile()``,
+#: which outweighs the faster execution on runs of less than a few
+#: thousand steps.
+_CODE = {}
+#: ``_Emitter._expr`` destination of a value that is only branched on.
+_TEST = object()
+#: ``_Emitter._command`` work items other than commands.
+_ELSE, _END = "else", "end"
+_CHARGE = "{0}s += {1}\n{0}if s > F: raise EX"
 
 
-class _Frame:
-    __slots__ = ("env", "budget", "reflective", "self_enc")
+class _Emitter:
+    """Python source for one program in one mode.
 
-    def __init__(self, env, budget, reflective, self_enc):
-        self.env = env
-        self.budget = budget
+    ``make(C, SELF)`` binds the quoted constants (read as ``C[i]``) and
+    the self text and returns the generator function ``P(inputs..., s,
+    F)``, which runs the body from ``s`` steps under fuel ``F`` and
+    returns ``(output value, steps)``.  Variables are locals ``v<i>``;
+    expressions become three-address code on temporaries ``t<i>``.
+    Code without a fault or a loop has a static cost, so its steps
+    gather in ``pending`` and reach ``s`` in one addition per branch.
+    Every fault, univ call, loop iteration and the final read checks
+    ``s`` against ``F`` first, so a fault reports its exact step count
+    and an exhausted run reports ``steps == fuel``.
+
+    ``P`` yields ``(q_enc, d, s)`` for each univ call and the generator
+    of each command outlined past control depth ``_MAX_NEST``; ``_drive``
+    runs those on an explicit stack.
+    """
+
+    def __init__(self, program, reflective):
+        self.program = program
         self.reflective = reflective
-        self.self_enc = self_enc
+        self.locals = {}      # variable name -> local name
+        self.consts = []      # quoted values, C[i] in the source
+        self.lines = []
+        self.pending = 0      # steps emitted but not yet added to s
+        self.checks = 0       # checks and faults emitted so far
+        self.uses_self = False
+        self.outlined = []    # (function name, command)
+        self.all_locals = None
 
+    def source(self):
+        program, lines = self.program, self.lines
+        params = [self._local(v) for v in program.inputs]
+        lines.append(f"    def P({', '.join(params + ['s', 'F'])}):")
+        init = len(lines)
+        lines.append("")
+        self._command(program.body, " " * 8)
+        self.pending += 1  # the final read
+        self._check(" " * 8)
+        lines.append(f"        return {self._local(program.output)}, s")
+        lines.append("        yield")  # unreached: makes a generator
+        rest = list(self.locals.values())[len(params):]
+        if rest:
+            lines[init] = f"        {' = '.join(rest)} = NIL"
+        for name, cmd in self.outlined:  # grows while it is walked
+            names = ", ".join(self.all_locals)
+            lines.append(f"    def {name}({names}, s, F):")
+            self._command(cmd, " " * 8)
+            lines.append(f"        return {names}, s + {self.pending}")
+            lines.append("        yield")  # unreached: makes a generator
+            self.pending = 0
+        return "def make(C, SELF):\n" + "\n".join(lines) + "\n    return P\n"
 
-def _compile_expr(expr):
-    t = type(expr)
-    if t is Var:
-        name = expr.name
+    def _local(self, name):
+        local = self.locals.get(name)
+        if local is None:
+            local = self.locals[name] = f"v{len(self.locals)}"
+        return local
 
-        def run_var(fr):
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            return fr.env.get(name, NIL)
-        return run_var
-    if t is Quote:
-        value = expr.value
+    def _check(self, ind):
+        self.lines.append(_CHARGE.format(ind, self.pending))
+        self.pending = 0
+        self.checks += 1
 
-        def run_quote(fr):
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            return value
-        return run_quote
-    if t is Hd:
-        arg = _compile_expr(expr.arg)
+    def _fail(self, ind, detail):
+        self.lines.append(f"{ind}fault(s + {self.pending}, F, {detail!r})")
+        self.checks += 1
 
-        def run_hd(fr):
-            v = arg(fr)
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            return v.head if type(v) is Pair else NIL
-        return run_hd
-    if t is Tl:
-        arg = _compile_expr(expr.arg)
+    def _flush(self, ind):
+        if self.pending:
+            self.lines.append(f"{ind}s += {self.pending}")
+            self.pending = 0
 
-        def run_tl(fr):
-            v = arg(fr)
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            return v.tail if type(v) is Pair else NIL
-        return run_tl
-    if t is Cons:
-        left = _compile_expr(expr.left)
-        right = _compile_expr(expr.right)
-
-        def run_cons(fr):
-            a = left(fr)
-            b_ = right(fr)
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            return Pair(a, b_)
-        return run_cons
-    if t is Eq:
-        left = _compile_expr(expr.left)
-        right = _compile_expr(expr.right)
-
-        def run_eq(fr):
-            a = left(fr)
-            b_ = right(fr)
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            return ONE if equal(a, b_) else NIL
-        return run_eq
-    if t is IsAtom:
-        arg = _compile_expr(expr.arg)
-
-        def run_isatom(fr):
-            v = arg(fr)
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            return ONE if type(v) is Atom else NIL
-        return run_isatom
-    if t is SelfRef:
-        def run_self(fr):
-            if not fr.reflective:
-                raise _Fault("'*' outside reflective mode")
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            return fr.self_enc
-        return run_self
-    if t is UnivCall:
-        prog = _compile_expr(expr.prog)
-        arg = _compile_expr(expr.arg)
-
-        def run_univ(fr):
-            if not fr.reflective:
-                raise _Fault("'univ' call outside reflective mode")
-            q_enc = prog(fr)
-            d = arg(fr)
-            b = fr.budget
-            b.steps += 1  # dispatch
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            try:
-                q = decode(q_enc, allow_reserved=True)
-            except DecodeError as exc:
-                raise _Fault(f"univ on a non-program: {exc}") from None
-            if len(q.inputs) != 1:
-                raise _Fault("univ needs a one-input program")
-            return _exec(q, [d], fr.budget, True)
-        return run_univ
-    raise TypeError(f"cannot compile {expr!r}")
-
-
-def _compile_command(cmd):
-    t = type(cmd)
-    if t is Assign:
-        name = cmd.var
-        expr = _compile_expr(cmd.expr)
-
-        def run_assign(fr):
-            v = expr(fr)
-            b = fr.budget
-            b.steps += 1
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            fr.env[name] = v
-        return run_assign
-    if t is Seq:
-        first = _compile_command(cmd.first)
-        second = _compile_command(cmd.second)
-
-        def run_seq(fr):
-            first(fr)
-            second(fr)
-        return run_seq
-    if t is While:
-        test = _compile_expr(cmd.test)
-        body = _compile_command(cmd.body)
-
-        def run_while(fr):
-            b = fr.budget
-            while True:
-                b.steps += 1  # test event
-                if b.steps > b.fuel:
-                    b.steps = b.fuel
-                    raise _Exhausted()
-                v = test(fr)
-                if type(v) is Atom and v.name == "()":
-                    return
-                body(fr)
-        return run_while
-    if t is If:
-        test = _compile_expr(cmd.test)
-        then = _compile_command(cmd.then)
-        orelse = _compile_command(cmd.orelse)
-
-        def run_if(fr):
-            b = fr.budget
-            b.steps += 1  # test event
-            if b.steps > b.fuel:
-                b.steps = b.fuel
-                raise _Exhausted()
-            v = test(fr)
-            if type(v) is Atom and v.name == "()":
-                orelse(fr)
+    def _command(self, root, ind):
+        """Emit ``root`` at indent ``ind``, with no Python recursion."""
+        todo = [(root, None, ind, 0)]
+        while todo:
+            cmd, arg, ind, depth = todo.pop()
+            cls = type(cmd)
+            if cmd is _ELSE:  # the else branch starts with the test's steps
+                self.lines.append(f"{ind}else:")
+                self.pending = arg
+            elif cmd is _END:
+                # of a branch, or of a loop body: then ``arg`` is the
+                # steps of the loop's next test, if that cannot fault
+                if arg is None:
+                    self._flush(ind)
+                else:
+                    self.pending += arg
+                    self._check(ind)
+            elif cls is Seq:
+                todo.append((cmd.second, None, ind, depth))
+                todo.append((cmd.first, None, ind, depth))
+            elif cls is Assign:
+                target = self._local(cmd.var)
+                value = self._expr(cmd.expr, ind, target)
+                if value != target:
+                    self.lines.append(f"{ind}{target} = {value}")
+                self.pending += 1
+            elif depth >= _MAX_NEST:
+                self._outline(cmd, ind)
+            elif cls is While:
+                inner = ind + "    "
+                lines, before, checks = self.lines, self.pending, self.checks
+                self.lines, self.pending = [], 1  # 1: the test event
+                test = self._expr(cmd.test, inner, _TEST)
+                test_lines, self.lines = self.lines, lines
+                if self.checks == checks:
+                    # a test that cannot fault is charged ahead of it:
+                    # before the loop, then at the end of the body
+                    again = self.pending
+                    self.pending += before
+                    self._check(ind)
+                else:
+                    again = None
+                    if before:
+                        lines.append(f"{ind}s += {before}")
+                lines.append(f"{ind}while True:")
+                lines += test_lines
+                self._flush(inner)
+                lines.append(f"{inner}if not ({test}): break")
+                todo.append((_END, again, inner, depth))
+                todo.append((cmd.body, None, inner, depth + 1))
+            elif cls is If:
+                inner = ind + "    "
+                self.pending += 1  # the test event
+                test = self._expr(cmd.test, ind, _TEST)
+                self.lines.append(f"{ind}if {test}:")
+                todo += [(_END, None, inner, depth),
+                         (cmd.orelse, None, inner, depth + 1),
+                         (_ELSE, self.pending, ind, depth),
+                         (_END, None, inner, depth),
+                         (cmd.then, None, inner, depth + 1)]
             else:
-                then(fr)
-        return run_if
-    raise TypeError(f"cannot compile {cmd!r}")
+                raise TypeError(f"cannot compile {cmd!r}")
+
+    def _outline(self, cmd, ind):
+        """Call ``cmd`` as a function of its own, through ``_drive``."""
+        if self.all_locals is None:
+            program = self.program
+            for name in (program.output, *sorted(command_vars(program.body))):
+                self._local(name)
+            self.all_locals = list(self.locals.values())
+        name = f"B{len(self.outlined) + 1}"
+        self.outlined.append((name, cmd))
+        names = ", ".join(self.all_locals)
+        self.lines.append(
+            f"{ind}{names}, s = yield {name}({names}, s + {self.pending}, F)")
+        self.pending = 0
+
+    def _leaf(self, expr):
+        """True if ``expr``'s operand is no temporary."""
+        cls = type(expr)
+        return cls is Var or cls is Quote or cls is SelfRef or (
+            cls is UnivCall and not self.reflective)
+
+    def _const(self, value):
+        self.consts.append(value)
+        return f"C[{len(self.consts) - 1}]"
+
+    def _expr(self, root, ind, dest=None):
+        """Emit code that evaluates ``root`` in the cost model's order
+        (operands left to right, then the operator) and return the
+        operand holding its value.  The root's value goes to the local
+        ``dest`` if one is given; with ``dest`` ``_TEST`` the operand is
+        a Python condition, true iff the value is not ``()``."""
+        lines = self.lines
+        values = []
+        todo = [(root, 0, False)]  # (expression, temporary, operands done?)
+        while todo:
+            expr, slot, ready = todo.pop()
+            cls = type(expr)
+            if cls is Var:
+                values.append(self._local(expr.name))
+                self.pending += 1
+            elif cls is Quote:
+                values.append(self._const(expr.value))
+                self.pending += 1
+            elif cls is SelfRef and self.reflective:
+                values.append("SELF")
+                self.uses_self = True
+                self.pending += 1
+            elif cls is SelfRef:
+                self._fail(ind, "'*' outside reflective mode")
+                values.append("NIL")
+            elif cls is UnivCall and not self.reflective:
+                self._fail(ind, "'univ' call outside reflective mode")
+                values.append("NIL")
+            elif not ready:
+                todo.append((expr, slot, True))
+                if cls is Cons or cls is Eq or cls is UnivCall:
+                    left, right = (expr.prog, expr.arg) if cls is UnivCall \
+                        else (expr.left, expr.right)
+                    right_slot = slot if self._leaf(left) else slot + 1
+                    todo.append((right, right_slot, False))
+                    todo.append((left, slot, False))
+                else:
+                    todo.append((expr.arg, slot, False))
+            else:
+                self.pending += 1
+                b = values.pop() if cls is Cons or cls is Eq or cls is UnivCall \
+                    else None
+                a = values.pop()
+                t = dest if not todo and dest is not None and dest is not _TEST \
+                    else f"t{slot}"
+                if cls is Eq or cls is IsAtom:
+                    if cls is IsAtom:
+                        test = f"type({a}) is Atom"
+                    else:  # sexpr.equal, with its fast paths inlined
+                        test = (f"{a} is {b} or type({a}) is Atom and type({b})"
+                                f" is Atom and {a}.name == {b}.name or type({a})"
+                                f" is Pair and type({b}) is Pair and "
+                                f"equal({a}, {b})")
+                    if not todo and dest is _TEST:
+                        return test
+                    lines.append(f"{ind}{t} = ONE if {test} else NIL")
+                elif cls is Hd or cls is Tl:
+                    field = "head" if cls is Hd else "tail"
+                    lines.append(
+                        f"{ind}{t} = {a}.{field} if type({a}) is Pair else NIL")
+                elif cls is Cons:
+                    lines.append(f"{ind}{t} = Pair({a}, {b})")
+                elif cls is UnivCall:
+                    self._check(ind)
+                    lines.append(f"{ind}{t}, s = yield {a}, {b}, s")
+                else:
+                    raise TypeError(f"cannot compile {expr!r}")
+                values.append(t)
+        value = values.pop()
+        if dest is _TEST:
+            return f'type({value}) is not Atom or {value}.name != "()"'
+        return value
 
 
-def _compiled(program):
-    fn = program._compiled
+def _instance(program, reflective):
+    """The compiled function of ``program`` in one mode, made once."""
+    made = program._compiled
+    if made is None:
+        made = program._compiled = [None, None]
+    fn = made[reflective]
     if fn is None:
-        fn = _compile_command(program.body)
-        program._compiled = fn
+        emitter = _Emitter(program, reflective)
+        source = emitter.source()
+        make = _CODE.pop(source, None)
+        if make is None:
+            namespace = dict(_GLOBALS)
+            exec(compile(source, "<flowchart>", "exec"), namespace)
+            make = namespace["make"]
+            if len(_CODE) >= _CODE_CACHE_SIZE:
+                del _CODE[next(iter(_CODE))]
+        _CODE[source] = make
+        fn = made[reflective] = make(
+            tuple(emitter.consts), encode(program) if emitter.uses_self else None)
     return fn
 
 
-def _exec(program, args, budget, reflective):
-    """Run under an existing budget; returns the output value."""
-    env = dict(zip(program.inputs, args))
-    self_enc = encode(program) if reflective else None
-    frame = _Frame(env, budget, reflective, self_enc)
-    _compiled(program)(frame)
-    budget.steps += 1  # final read of the output variable
-    if budget.steps > budget.fuel:
-        budget.steps = budget.fuel
-        raise _Exhausted()
-    return env.get(program.output, NIL)
+def _drive(top, fuel):
+    """Run a compiled program's generator and every callee it yields on
+    one explicit stack, so fuel and memory bound univ nesting, not
+    Python's recursion limit.  Each distinct encoded program is decoded and
+    compiled once per run."""
+    programs = {}  # id(q_enc) -> (q_enc, compiled function)
+    stack = [top]
+    reply = None
+    while True:
+        try:
+            call = stack[-1].send(reply)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                return stop.value
+            reply = stop.value
+            continue
+        if type(call) is tuple:  # univ: (q_enc, d, steps)
+            q_enc, d, steps = call
+            known = programs.get(id(q_enc))
+            if known is None:
+                try:
+                    q = decode(q_enc, allow_reserved=True)
+                except DecodeError as exc:
+                    raise _Fault(f"univ on a non-program: {exc}", steps) from None
+                if len(q.inputs) != 1:
+                    raise _Fault("univ needs a one-input program", steps)
+                known = programs[id(q_enc)] = (q_enc, _instance(q, True))
+            call = known[1](d, steps, fuel)
+        stack.append(call)
+        reply = None
 
 
 def run(program, args, fuel=10**7, mode="plain"):
@@ -681,6 +792,12 @@ def run(program, args, fuel=10**7, mode="plain"):
     atom are ``()`` (all operators are total).  In reflective mode ``*``
     denotes the running program's text and ``(univ p d)`` runs the
     encoded program ``p`` on ``d`` within the same fuel budget.
+
+    Memory grows with univ nesting: each pending univ call holds one
+    generator frame of about 280 bytes plus 8 per variable of the
+    called program, and costs at least 3 steps.  So
+    ``((d) (:= out (univ * d)) out)`` peaks at about 0.9 GB before it
+    exhausts the default fuel.
     """
     if len(args) != len(program.inputs):
         raise ValueError(
@@ -689,11 +806,11 @@ def run(program, args, fuel=10**7, mode="plain"):
         raise ValueError("fuel must be positive")
     if mode not in ("plain", "reflective"):
         raise ValueError(f"unknown mode {mode!r}")
-    budget = _Budget(fuel)
     try:
-        value = _exec(program, args, budget, mode == "reflective")
+        value, steps = _drive(
+            _instance(program, mode == "reflective")(*args, 0, fuel), fuel)
     except _Exhausted:
-        return RunResult(None, budget.steps, RunResult.FUEL)
+        return RunResult(None, fuel, RunResult.FUEL)
     except _Fault as f:
-        return RunResult(None, budget.steps, RunResult.ERROR, f.detail)
-    return RunResult(value, budget.steps, RunResult.HALTED)
+        return RunResult(None, f.steps, RunResult.ERROR, f.detail)
+    return RunResult(value, steps, RunResult.HALTED)

@@ -233,6 +233,12 @@ def measure(s):
 
 def equal(a, b):
     """Structural equality; identical nodes compare equal without descent."""
+    if a is b:
+        return True
+    if type(a) is Atom:
+        return type(b) is Atom and a.name == b.name
+    if type(b) is Atom:
+        return False
     seen = set()
     stack = [(a, b)]
     while stack:

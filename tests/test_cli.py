@@ -105,6 +105,15 @@ def test_fuel_exhaustion_exit_code(capsys, proj1_file):
     assert "fuel_exhausted" in err
 
 
+def test_unbounded_univ_nesting_exits_on_fuel(capsys, tmp_path):
+    path = tmp_path / "self.sexp"
+    path.write_text("((d) (:= out (univ * d)) out)\n")
+    code, _, err = run_cli(capsys, "run", str(path), "a", "--mode",
+                           "reflective", "--fuel", "100000")
+    assert code == 1
+    assert "fuel_exhausted after 100000 steps" in err
+
+
 def test_program_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.sexp"
     bad.write_text("((q q) (:= out q) out)\n")

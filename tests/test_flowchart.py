@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from srtlab.build import QA, V, asg, hd, prog, seq, univ, wh
+from srtlab.build import QA, V, asg, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, DecodeError, RunResult, Seq, Var, command_vars, decode, encode,
     is_tiny, rename_command, run,
@@ -89,8 +89,10 @@ def _deep_program(shape, n=10**5):
 
 @pytest.mark.parametrize("shape", ["hd-chain", "seq-chain"])
 def test_walkers_handle_any_depth(shape):
-    # run is left out: its compiled closures still recurse per node
-    p = _deep_program(shape)
+    n = 10**5
+    p = _deep_program(shape, n)
+    r = run(p, [parse("a"), parse("(b)")], FUEL)
+    assert r.halted and r.steps == (n + 3 if shape == "hd-chain" else 2 * n + 1)
     s = encode(p)
     assert encode(decode(s)) is s
     text = sexpr_print(s)
@@ -230,3 +232,37 @@ def test_univ_call_on_garbage_is_a_runtime_error():
 def test_arity_mismatch_rejected():
     with pytest.raises(ValueError):
         run(dec("((q d) (:= out q) out)"), [parse("a")], 100)
+
+
+def test_run_handles_any_control_nesting():
+    # 10^4 nested whiles and ifs: past CPython's limits of 20 nested
+    # loops and 100 indentation levels in one function
+    n, m = 10**4, 3
+    body = wh(V("x"), asg("x", tl(V("x"))))
+    for i in range(n - 1):
+        body = (iff(V("x"), body, asg("y", V("x"))) if i % 2 == 0
+                else wh(V("x"), body))
+    whiles = (n - 1) // 2
+    r = run(prog(("x",), body, "x"), [to_unary(m)], FUEL)
+    # each level's first test, the inner loop, each outer while's last
+    # test, the final read
+    assert r.halted and sexpr_print(r.value) == "()"
+    assert r.steps == 2 * (n - 1) + (5 * m + 2) + 2 * whiles + 1
+
+
+#: The reflective countdown: one native univ call on its own text per level.
+COUNTDOWN = ("((d) (if d (:= out (cons (QUOTE 1) (univ * (tl d)))) "
+             "(:= out (QUOTE ()))) out)")
+
+
+@pytest.mark.parametrize("n", [250, 5000])
+def test_univ_nesting_is_bounded_by_fuel_not_the_python_stack(n):
+    r = run(dec(COUNTDOWN), [to_unary(n)], 10**7, mode="reflective")
+    assert r.halted and r.steps == 10 * n + 5
+    assert equal(r.value, to_unary(n))
+
+
+def test_unbounded_univ_nesting_exhausts_fuel():
+    p = dec("((d) (:= out (univ * d)) out)")
+    r = run(p, [parse("a")], 10**5, mode="reflective")
+    assert r.status == RunResult.FUEL and r.steps == 10**5
