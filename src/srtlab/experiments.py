@@ -8,9 +8,10 @@ report is checkable without re-running anything.
 
 import json
 
-from .flowchart import encode, run
+from .build import QA, QNIL, V, asg, cons, hd, prog, seq, tl, wh
+from .flowchart import decode, encode, run
 from .selfint import measure_overhead
-from .sexpr import dag_size, from_unary, to_unary, tree_size
+from .sexpr import dag_size, from_unary, parse, to_unary, tree_size
 from .srt import (
     DEMO_NAMES, demo_program, kleene_fixpoint, kleene_intermediate,
     moss_fixpoint,
@@ -169,7 +170,6 @@ _OVERHEAD_SIZES = (1, 50, 5000)
 
 
 def _length_program():
-    from .build import QA, QNIL, V, asg, cons, prog, seq, tl, wh
     return prog(("x",), seq(
         asg("t", V("x")),
         asg("out", QNIL()),
@@ -180,7 +180,6 @@ def _length_program():
 
 
 def _reverse_program():
-    from .build import QNIL, V, asg, cons, hd, prog, seq, tl, wh
     return prog(("x",), seq(
         asg("t", V("x")),
         asg("out", QNIL()),
@@ -192,8 +191,6 @@ def _reverse_program():
 
 def experiment_overhead(fuel=DEFAULT_FUEL, seed=0):
     """Interpretation-overhead stability for three programs."""
-    from .flowchart import decode
-    from .sexpr import parse
     report = Report("overhead", seed,
                     {"fuel": fuel, "input_lengths": list(_OVERHEAD_SIZES)})
     identity = decode(parse("((x) (:= out x) out)"))

@@ -483,10 +483,10 @@ _CODE_CACHE_SIZE = 256
 #: Source text -> its ``make`` function, least recently used first.
 #: Constants and the self text are arguments of ``make``, so programs
 #: of one shape (up to variable names) share an entry.  This pays off
-#: only when shapes repeat, as with a fresh ``s11_program()`` in each
-#: Futamura stage.  A program of a new shape pays for ``compile()``,
-#: which outweighs the faster execution on runs of less than a few
-#: thousand steps.
+#: only when shapes repeat, as with a fixpoint or a Futamura stage
+#: built afresh on each call.  A program of a new shape pays for
+#: ``compile()``, which outweighs the faster execution on runs of less
+#: than a few thousand steps.
 _CODE = {}
 #: ``_Emitter._expr`` destination of a value that is only branched on.
 _TEST = object()

@@ -18,9 +18,12 @@ There is no validation inside U: feeding it something that is not a
 well-formed encoded program yields garbage (deterministically).
 """
 
+import functools
+
 from .build import QA, QNIL, V, asg, atomp, cons, eq, hd, iff, seq, tl, wh
-from .flowchart import Program, Quote, encode, run
+from .flowchart import Program, Quote, decode, encode, run
 from .sexpr import NIL, Atom, Pair, tree_size
+from .specializer import s11_program
 
 __all__ = [
     "univ_program", "wrap_nullary", "interpreter_wrapped",
@@ -217,15 +220,13 @@ def _univ_body():
     )
 
 
-_UNIV = None
-
-
+@functools.cache
 def univ_program():
-    """The universal program: two inputs (encoded program, datum)."""
-    global _UNIV
-    if _UNIV is None:
-        _UNIV = Program(("p", "d"), _univ_body(), "out")
-    return _UNIV
+    """The universal program: two inputs (encoded program, datum).
+
+    Built once per process; every caller shares the one ``Program``.
+    """
+    return Program(("p", "d"), _univ_body(), "out")
 
 
 def wrap_nullary(program):
@@ -316,9 +317,6 @@ def futamura(stage, source=None, fuel=10**7):
     Every stage is produced by actually running the specialiser program,
     so repeated calls give structurally identical results.
     """
-    from .flowchart import decode
-    from .specializer import s11_program
-
     s11 = s11_program()
     u = univ_program()
     if stage == "target":

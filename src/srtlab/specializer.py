@@ -6,6 +6,8 @@ straight-line flowchart program operating on encoded programs, so it can
 be run, specialised and self-applied like any other data.
 """
 
+import functools
+
 from .build import QA, lst
 from .flowchart import (
     Assign, Hd, If, Program, Quote, Seq, Tl, Var, While, expr_vars,
@@ -32,11 +34,13 @@ def specialize(program, value):
     )
 
 
+@functools.cache
 def s11_program():
     """The specialiser as a two-input straight-line program.
 
     Reads an encoded program and a value; writes the encoded
     specialised program.  No validation: garbage in, garbage out.
+    Built once per process; every caller shares the one ``Program``.
     """
     pgm = Var("pgm")
     body = Seq(

@@ -42,8 +42,9 @@ def _check_no_reserved(program, what):
             f"{what} must not use '{RESERVED_PREFIX}'-prefixed variables: {bad}")
 
 
-_SPEC_VARS = ("pgm", "s", "inputvar", "C", "outputvar", "initialise",
-              "body", "outpgm")
+#: Every variable of the specialiser program, which the constructions
+#: inline into base programs.
+_SPEC_VARS = frozenset(_program_vars(s11_program()))
 
 
 def kleene_intermediate(p):
@@ -125,7 +126,7 @@ def compose(p, q):
 
 #: Variables used by the generator programs that the Moss construction
 #: composes; base programs must not collide with them.
-_BUILDER_VARS = frozenset(("r", "g") + _SPEC_VARS)
+_BUILDER_VARS = _SPEC_VARS | {"r", "g"}
 
 _STASH = RESERVED_PREFIX + "d"
 

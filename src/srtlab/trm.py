@@ -1,13 +1,15 @@
 """The 1# term register machine: string programs over {1,#}.
 
-A program is a string of instructions 1^n #^k (1 <= k <= 5):
+A program is its text, a string of instructions 1^n #^k (1 <= k <= 5).
+The opcode of an instruction is k, its number of #s, so the parsed
+program ``instrs`` is a tuple of (k, n) integer pairs:
 
-    1^n #      append 1 to register n
-    1^n ##     append # to register n
-    1^n ###    jump forward n instructions
-    1^n ####   jump backward n instructions
-    1^n #####  case on register n: empty, advance 1; leading 1 (consumed),
-               advance 2; leading # (consumed), advance 3
+    1^n #      (1, n)  append 1 to register n
+    1^n ##     (2, n)  append # to register n
+    1^n ###    (3, n)  jump forward n instructions
+    1^n ####   (4, n)  jump backward n instructions
+    1^n #####  (5, n)  case on register n: empty, advance 1; leading 1
+                       (consumed), advance 2; leading # (consumed), advance 3
 
 Execution starts at instruction 1 with the arguments in R1, R2, ...;
 the result is whatever R1 holds when the counter lands exactly one past
@@ -17,13 +19,17 @@ One step per executed instruction.
 Because jumps are relative, programs compose by plain concatenation:
 run(p | q) is run(q) after run(p) whenever p halts normally.  The
 toolkit below (move, write, diag, s11) and both fixpoint constructions
-exploit exactly that.
+are built by concatenating text, and every toolkit loop has the one
+shape that ``_loop`` emits.
 
 The ``fast_assign`` variant executes any program segment textually equal
-to a move block as a single step.  This changes cost, never text or
-behaviour, so the same program can be timed under both variants.
+to a move block between registers 1-8 as a single step.  The executor
+reads a second instruction table, in which the first instruction of each
+such block is a sixth opcode, (6, (i, j)).  This changes cost, never
+text or behaviour, so the same program can be timed under both variants.
 """
 
+import sys
 from collections import deque
 
 __all__ = [
@@ -36,7 +42,6 @@ __all__ = [
 ]
 
 _MAX_HASHES = 5
-_OPS = {1: "one", 2: "hash", 3: "fwd", 4: "back", 5: "case"}
 
 
 class TrmParseError(ValueError):
@@ -68,7 +73,7 @@ def _parse_instructions(raw):
             raise TrmParseError("instruction lacks #s", start)
         if hashes > _MAX_HASHES:
             raise TrmParseError("too many #s in one instruction", hstart)
-        instrs.append((_OPS[hashes], ones))
+        instrs.append((hashes, ones))
     return tuple(instrs)
 
 
@@ -77,28 +82,16 @@ def trm_print(program):
     return program.raw
 
 
-def _instr_text(instr):
-    op, n = instr
-    hashes = {"one": 1, "hash": 2, "fwd": 3, "back": 4, "case": 5}[op]
-    return "1" * n + "#" * hashes
-
-
 class TrmProgram:
-    __slots__ = ("raw", "instrs", "_movemap")
+    __slots__ = ("raw", "instrs", "_fast")
 
-    def __init__(self, raw, instrs=None):
+    def __init__(self, raw):
         bad = next((k for k, ch in enumerate(raw) if ch not in "1#"), None)
         if bad is not None:
             raise TrmParseError(f"illegal character {raw[bad]!r}", bad)
         self.raw = raw
-        self.instrs = _parse_instructions(raw) if instrs is None else instrs
-        self._movemap = None
-
-    @classmethod
-    def from_instrs(cls, instrs):
-        instrs = tuple(instrs)
-        raw = "".join(_instr_text(i) for i in instrs)
-        return cls(raw, instrs)
+        self.instrs = _parse_instructions(raw)
+        self._fast = None
 
     def __len__(self):
         return len(self.instrs)
@@ -107,94 +100,60 @@ class TrmProgram:
         text = self.raw if len(self.raw) <= 40 else self.raw[:37] + "..."
         return f"<1# program [{len(self.instrs)} instrs] {text}>"
 
-    def movemap(self):
-        """Positions (1-based) where a move block starts -> (src, dst)."""
-        if self._movemap is None:
-            found = {}
+    def _fast_table(self):
+        """``instrs`` with each move block between registers 1-8 starting
+        with (6, (i, j)) in place of its case; built once per program."""
+        if self._fast is None:
             instrs = self.instrs
-            span = _MOVE_BLOCK_LEN
-            for k in range(len(instrs) - span + 1):
-                if instrs[k][0] != "case":
+            table = list(instrs)
+            for k, (op, i) in enumerate(instrs[:-6]):
+                if op != 5 or i > 8:
                     continue
-                pair = _MOVE_PATTERNS.get(instrs[k:k + span])
-                if pair is not None:
-                    found[k + 1] = pair
-            self._movemap = found
-        return self._movemap
+                j = instrs[k + 3][1]
+                if (j <= 8 and j != i
+                        and instrs[k:k + 7] == _parse_instructions(_move(i, j))):
+                    table[k] = (6, (i, j))
+            self._fast = tuple(table)
+        return self._fast
 
 
 # ---------------------------------------------------------------------------
-# assembly of the toolkit blocks
+# the toolkit, as text
 
-def _assemble(entries):
-    """Two-pass assembly of labelled entries into instruction tuples.
+def _ins(op, n):
+    """The text of instruction (op, n)."""
+    return "1" * n + "#" * op
 
-    Entries: ('label', name) markers, ('jump', target) with target a
-    label name or 'end' (one past the block), and direct instructions
-    ('one'|'hash'|'case', register).
+
+def _loop(r, on_hash, on_one):
+    """The toolkit's loop shape: pop R_r until it is empty, running the
+    instructions ``on_hash`` on each # and ``on_one`` on each 1.
+
+        top: case r; fwd end; fwd one; on_hash...; back top
+        one: on_one...; back top
+        end:
     """
-    labels = {}
-    pos = 1
-    for entry in entries:
-        if entry[0] == "label":
-            labels[entry[1]] = pos
-        else:
-            pos += 1
-    labels["end"] = pos
-    instrs = []
-    here = 1
-    for entry in entries:
-        kind = entry[0]
-        if kind == "label":
-            continue
-        if kind == "jump":
-            delta = labels[entry[1]] - here
-            if delta == 0:
-                raise ValueError("zero-length jump")
-            instrs.append(("fwd", delta) if delta > 0 else ("back", -delta))
-        else:
-            instrs.append(entry)
-        here += 1
-    return instrs
+    h = len(_parse_instructions(on_hash))
+    o = len(_parse_instructions(on_one))
+    return (_ins(5, r) + _ins(3, 4 + h + o) + _ins(3, 2 + h)
+            + on_hash + _ins(4, 3 + h)
+            + on_one + _ins(4, 4 + h + o))
 
 
-def _move_instrs(i, j):
+def _move(i, j):
     if i == j:
         raise ValueError("move needs distinct registers")
-    return _assemble([
-        ("label", "top"),
-        ("case", i),
-        ("jump", "end"),
-        ("jump", "one"),
-        ("hash", j),
-        ("jump", "top"),
-        ("label", "one"),
-        ("one", j),
-        ("jump", "top"),
-    ])
-
-
-_MOVE_BLOCK_LEN = len(_move_instrs(1, 2))
-_MOVE_PATTERNS = {
-    tuple(_move_instrs(i, j)): (i, j)
-    for i in range(1, 9) for j in range(1, 9) if i != j
-}
+    return _loop(i, _ins(2, j), _ins(1, j))
 
 
 def trm_move(i, j):
     """Program: append R_i to the right end of R_j, emptying R_i."""
-    return TrmProgram.from_instrs(_move_instrs(i, j))
+    return TrmProgram(_move(i, j))
 
 
 def trm_erase(i):
     """Program: empty register i."""
-    return TrmProgram.from_instrs(_assemble([
-        ("label", "top"),
-        ("case", i),
-        ("jump", "end"),
-        ("jump", "top"),
-        ("jump", "top"),
-    ]))
+    return TrmProgram(_ins(5, i) + _ins(3, 3) + _ins(4, 2) + _ins(4, 3))
 
 
 def write_code(text):
@@ -206,51 +165,21 @@ def write_code(text):
     return "".join("1#" if ch == "1" else "1##" for ch in text)
 
 
-def _wcode_instrs(text):
-    return [("one", 1) if ch == "1" else ("hash", 1) for ch in text]
-
-
 def _emit_loop(src, dst):
     """Loop: pop each symbol of R_src, appending its write-code to R_dst."""
-    return _assemble([
-        ("label", "top"),
-        ("case", src),
-        ("jump", "end"),
-        ("jump", "one"),
-        ("one", dst),       # saw '#': emit 1##
-        ("hash", dst),
-        ("hash", dst),
-        ("jump", "top"),
-        ("label", "one"),   # saw '1': emit 1#
-        ("one", dst),
-        ("hash", dst),
-        ("jump", "top"),
-    ])
+    return _loop(src, _ins(1, dst) + _ins(2, dst) + _ins(2, dst),
+                 _ins(1, dst) + _ins(2, dst))
 
 
 def trm_write_program():
     """On input x in R1, leaves write_code(x) in R1.  Uses R2."""
-    return TrmProgram.from_instrs(_emit_loop(1, 2) + _move_instrs(2, 1))
+    return TrmProgram(_emit_loop(1, 2) + _move(2, 1))
 
 
 def _dup_loop():
     """Pop R1, emitting write-code into R2 and a plain copy into R3."""
-    return _assemble([
-        ("label", "top"),
-        ("case", 1),
-        ("jump", "end"),
-        ("jump", "one"),
-        ("one", 2),         # saw '#'
-        ("hash", 2),
-        ("hash", 2),
-        ("hash", 3),
-        ("jump", "top"),
-        ("label", "one"),   # saw '1'
-        ("one", 2),
-        ("hash", 2),
-        ("one", 3),
-        ("jump", "top"),
-    ])
+    return _loop(1, _ins(1, 2) + _ins(2, 2) + _ins(2, 2) + _ins(2, 3),
+                 _ins(1, 2) + _ins(2, 2) + _ins(1, 3))
 
 
 def trm_diag_program():
@@ -260,25 +189,12 @@ def trm_diag_program():
     and then falls into r itself: it computes r applied to r's own text.
     Uses R2 and R3.
     """
-    return TrmProgram.from_instrs(
-        _dup_loop() + _move_instrs(3, 2) + _move_instrs(2, 1))
+    return TrmProgram(_dup_loop() + _move(3, 2) + _move(2, 1))
 
 
 def _copy_loop():
     """Pop R1, copying each symbol into both R2 and R3."""
-    return _assemble([
-        ("label", "top"),
-        ("case", 1),
-        ("jump", "end"),
-        ("jump", "one"),
-        ("hash", 2),
-        ("hash", 3),
-        ("jump", "top"),
-        ("label", "one"),
-        ("one", 2),
-        ("one", 3),
-        ("jump", "top"),
-    ])
+    return _loop(1, _ins(2, 2) + _ins(2, 3), _ins(1, 2) + _ins(1, 3))
 
 
 def trm_s11_program():
@@ -289,18 +205,16 @@ def trm_s11_program():
     shelves its own argument into R2, rebuilds s in R1, then runs p.
     Built from the toolkit blocks; uses R3.
     """
-    mv12_raw = trm_move(1, 2).raw
-    instrs = (
-        _move_instrs(1, 3)            # stash p
-        + _move_instrs(2, 1)          # bring s into R1
-        + _emit_loop(1, 2)            # R2 := write_code(s)
-        + _move_instrs(2, 1)          # R1 := write_code(s)
-        + _move_instrs(1, 2)          # park it in R2
-        + _wcode_instrs(mv12_raw)     # R1 := move(1,2) text
-        + _move_instrs(2, 1)          # R1 := move(1,2) + write_code(s)
-        + _move_instrs(3, 1)          # append p
+    return TrmProgram(
+        _move(1, 3)                     # stash p
+        + _move(2, 1)                   # bring s into R1
+        + _emit_loop(1, 2)              # R2 := write_code(s)
+        + _move(2, 1)                   # R1 := write_code(s)
+        + _move(1, 2)                   # park it in R2
+        + write_code(_move(1, 2))       # R1 := move(1,2) text
+        + _move(2, 1)                   # R1 := move(1,2) + write_code(s)
+        + _move(3, 1)                   # append p
     )
-    return TrmProgram.from_instrs(instrs)
 
 
 def trm_compose(p, q):
@@ -318,10 +232,10 @@ def trm_moss_qhat(p):
     """
     return TrmProgram(
         trm_diag_program().raw
-        + trm_move(1, 2).raw
-        + write_code(trm_move(1, 4).raw)
-        + trm_move(2, 1).raw
-        + write_code(trm_move(4, 2).raw)
+        + _move(1, 2)
+        + write_code(_move(1, 4))
+        + _move(2, 1)
+        + write_code(_move(4, 2))
         + write_code(p.raw)
     )
 
@@ -343,14 +257,14 @@ def trm_kleene_fixpoint(p, fuel=10**7):
     body, restore d, run p.  Then p* = run(s11, [p~, p~]).
     """
     s11 = trm_s11_program()
-    p_tilde = TrmProgram.from_instrs(
-        _move_instrs(2, 4)
-        + _copy_loop() + _move_instrs(3, 1)   # R1 = q, R2 = q
-        + list(s11.instrs)
-        + _move_instrs(4, 2)
-        + list(p.instrs)
+    p_tilde = (
+        _move(2, 4)
+        + _copy_loop() + _move(3, 1)    # R1 = q, R2 = q
+        + s11.raw
+        + _move(4, 2)
+        + p.raw
     )
-    result = trm_run(s11, [p_tilde.raw, p_tilde.raw], fuel)
+    result = trm_run(s11, [p_tilde, p_tilde], fuel)
     if result.status != "halted":
         raise RuntimeError(f"specialiser run failed: {result.status}")
     return TrmProgram(result.output)
@@ -398,7 +312,11 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    if variant not in ("standard", "fast_assign"):
+    if variant == "standard":
+        table = program.instrs
+    elif variant == "fast_assign":
+        table = program._fast_table()
+    else:
         raise ValueError(f"unknown variant {variant!r}")
     regs = {}
     for idx, text in enumerate(inputs, start=1):
@@ -406,49 +324,26 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
             if ch not in "1#":
                 raise ValueError("register contents must be over {1,#}")
         regs[idx] = deque(text)
-    instrs = program.instrs
-    length = len(instrs)
-    movemap = program.movemap() if variant == "fast_assign" else None
+    length = len(table)
+    never = sys.maxsize             # beyond any counter a program can reach
+    mark = never if boundary is None else boundary
     pc = 1
     steps = 0
     setup = None
-    status = None
     while True:
-        if boundary is not None and setup is None and pc >= boundary:
+        if pc >= mark:
             setup = steps
-        if pc == length + 1:
-            status = TrmResult.HALTED
+            mark = never
+        if not 0 < pc <= length:
+            status = TrmResult.HALTED if pc == length + 1 else TrmResult.ABNORMAL
             break
-        if pc < 1 or pc > length:
-            status = TrmResult.ABNORMAL
-            break
-        if movemap is not None:
-            pair = movemap.get(pc)
-            if pair is not None:
-                steps += 1
-                if steps > fuel:
-                    steps = fuel
-                    status = TrmResult.FUEL
-                    break
-                src = regs.get(pair[0])
-                if src:
-                    regs.setdefault(pair[1], deque()).extend(src)
-                    src.clear()
-                pc += _MOVE_BLOCK_LEN
-                continue
         steps += 1
         if steps > fuel:
             steps = fuel
             status = TrmResult.FUEL
             break
-        op, n = instrs[pc - 1]
-        if op == "one":
-            regs.setdefault(n, deque()).append("1")
-            pc += 1
-        elif op == "hash":
-            regs.setdefault(n, deque()).append("#")
-            pc += 1
-        elif op == "case":
+        op, n = table[pc - 1]
+        if op == 5:
             reg = regs.get(n)
             if not reg:
                 pc += 1
@@ -456,10 +351,22 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
                 pc += 2
             else:
                 pc += 3
-        elif op == "fwd":
+        elif op == 4:
+            pc -= n
+        elif op == 2:
+            regs.setdefault(n, deque()).append("#")
+            pc += 1
+        elif op == 1:
+            regs.setdefault(n, deque()).append("1")
+            pc += 1
+        elif op == 3:
             pc += n
         else:
-            pc -= n
+            src = regs.get(n[0])
+            if src:
+                regs.setdefault(n[1], deque()).extend(src)
+                src.clear()
+            pc += 7
     registers = {k: "".join(v) for k, v in regs.items() if v}
     output = registers.get(1, "")
     return TrmResult(output, steps, status, setup, registers)

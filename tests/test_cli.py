@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -165,3 +166,15 @@ def test_experiment_to_stdout(capsys):
     assert claims["AC10-moss-setup-window"] == "pass"
     assert claims["AC10-kleene-moss-ratio"] == "pass"
     assert claims["AC10-fast-assign"] == "pass"
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("sizes", "e129689f53c6"),
+    ("trm-compare", "c038fffecab7"),
+    ("overhead", "1acd12254346"),
+    ("factorial-curve", "cc378a8dc3db"),
+])
+def test_experiment_json_is_pinned(capsys, name, digest):
+    code, out, _ = run_cli(capsys, "experiment", name, "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -31,11 +33,11 @@ def safe_program(rng, pieces=3):
 
 
 def test_single_instructions():
-    assert trm_parse("1#").instrs == (("one", 1),)
-    assert trm_parse("11##").instrs == (("hash", 2),)
-    assert trm_parse("1###").instrs == (("fwd", 1),)
-    assert trm_parse("11####").instrs == (("back", 2),)
-    assert trm_parse("111#####").instrs == (("case", 3),)
+    assert trm_parse("1#").instrs == ((1, 1),)
+    assert trm_parse("11##").instrs == ((2, 2),)
+    assert trm_parse("1###").instrs == ((3, 1),)
+    assert trm_parse("11####").instrs == ((4, 2),)
+    assert trm_parse("111#####").instrs == ((5, 3),)
 
 
 def test_append_one_step():
@@ -250,3 +252,170 @@ def test_fast_assign_move_block_is_one_step():
 def test_inputs_validated():
     with pytest.raises(ValueError):
         trm_run(trm_parse("1#"), ["abc"], 10)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: a reference runner, one instruction at a time
+
+def ref_instructions(raw):
+    """(#-count, 1-count) per instruction of a well-formed {1,#} text."""
+    return [(len(hashes), len(ones))
+            for ones, hashes in re.findall(r"(1+)(#+)", raw)]
+
+
+def ref_move_at(instrs, pc):
+    """(i, j) when a move block between registers 1-8 starts at pc."""
+    block = instrs[pc - 1:pc + 6]
+    if len(block) != 7:
+        return None
+    i, j = block[0][1], block[3][1]
+    shape = [(5, i), (3, 6), (3, 3), (2, j), (4, 4), (1, j), (4, 6)]
+    if block == shape and i != j and i <= 8 and j <= 8:
+        return i, j
+    return None
+
+
+def ref_run(raw, inputs, fuel, variant="standard", boundary=None):
+    """(status, steps, setup_steps, registers), computed naively."""
+    instrs = ref_instructions(raw)
+    regs = {k: list(text) for k, text in enumerate(inputs, start=1)}
+    pc, steps, setup = 1, 0, None
+    while True:
+        if boundary is not None and setup is None and pc >= boundary:
+            setup = steps
+        if not 1 <= pc <= len(instrs):
+            status = "halted" if pc == len(instrs) + 1 else "abnormal_halt"
+            break
+        if steps == fuel:
+            status = "fuel_exhausted"
+            break
+        steps += 1
+        move = ref_move_at(instrs, pc) if variant == "fast_assign" else None
+        if move is not None:
+            regs.setdefault(move[1], []).extend(regs.pop(move[0], []))
+            pc += 7
+            continue
+        op, n = instrs[pc - 1]
+        if op in (1, 2):
+            regs.setdefault(n, []).append("1#"[op - 1])
+            pc += 1
+        elif op == 3:
+            pc += n
+        elif op == 4:
+            pc -= n
+        elif not regs.get(n):
+            pc += 1
+        else:
+            pc += 2 if regs[n].pop(0) == "1" else 3
+    registers = {k: "".join(v) for k, v in regs.items() if v}
+    return status, steps, setup, registers
+
+
+def assert_agrees(program, inputs, fuel, variant, boundary):
+    r = trm_run(program, inputs, fuel, variant=variant, boundary=boundary)
+    got = (r.status, r.steps, r.setup_steps, r.registers)
+    assert got == ref_run(program.raw, inputs, fuel, variant, boundary), \
+        (program.raw, inputs, fuel, variant, boundary)
+    assert r.output == r.registers.get(1, "")
+    return r
+
+
+def random_program(rng):
+    """Toolkit blocks (moves up to register 9) mixed with wild instructions
+    that can jump into a block, out of the program, or loop forever."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            i, j = rng.sample(range(1, 10), 2)
+            parts.append(trm_move(i, j).raw)
+        elif kind == 1:
+            parts.append(trm_erase(rng.randint(1, 3)).raw)
+        elif kind == 2:
+            parts.append(write_code(rand_string(rng, 4)))
+        else:
+            parts.append("1" * rng.randint(1, 9) + "#" * rng.randint(1, 5))
+    return trm_parse("".join(parts))
+
+
+VARIANTS = ("standard", "fast_assign")
+
+
+def test_oracle_at_every_fuel_on_safe_programs():
+    rng = random.Random(101)
+    for _ in range(25):
+        program = safe_program(rng)
+        inputs = [rand_string(rng) for _ in range(rng.randint(0, 4))]
+        boundary = rng.randint(1, len(program) + 1)
+        for variant in VARIANTS:
+            full = trm_run(program, inputs, FUEL, variant=variant)
+            assert full.status == "halted"
+            for fuel in range(1, full.steps + 2):
+                for b in (None, boundary):
+                    assert_agrees(program, inputs, fuel, variant, b)
+
+
+#: Abnormal halts: back to instruction 0, back before it, forward past
+#: the end, and a case that skips past the end on a leading #.
+ABNORMAL = ["1####", "1#11####", "111###", "1#####", "1##1#####1#"]
+
+
+def test_oracle_at_every_fuel_on_wild_programs():
+    rng = random.Random(103)
+    cases = [(trm_parse(raw), ["#1"]) for raw in ABNORMAL]
+    for _ in range(60):
+        cases.append((random_program(rng),
+                      [rand_string(rng) for _ in range(rng.randint(0, 3))]))
+    statuses = set()
+    for program, inputs in cases:
+        boundary = rng.randint(0, len(program) + 2)
+        for variant in VARIANTS:
+            r = trm_run(program, inputs, 300, variant=variant)
+            statuses.add(r.status)
+            for fuel in range(1, min(r.steps, 299) + 2):
+                for b in (None, boundary):
+                    assert_agrees(program, inputs, fuel, variant, b)
+    assert statuses == {"halted", "abnormal_halt", "fuel_exhausted"}
+
+
+@pytest.mark.parametrize("name,base", BASES)
+@pytest.mark.parametrize("fix", [trm_moss_fixpoint, trm_kleene_fixpoint])
+def test_oracle_at_sampled_fuels_on_fixpoints(name, base, fix):
+    rng = random.Random(f"{name}-{fix.__name__}")
+    pstar = fix(base)
+    boundary = setup_boundary(pstar, base)
+    data = [rand_string(rng, 12)]
+    for variant in VARIANTS:
+        full = assert_agrees(pstar, data, FUEL, variant, boundary)
+        assert full.status == "halted" and full.setup_steps is not None
+        fuels = [1, full.steps, full.steps + 1] + \
+            [rng.randint(1, full.steps) for _ in range(3)]
+        for fuel in fuels:
+            for b in (None, boundary):
+                assert_agrees(pstar, data, fuel, variant, b)
+
+
+def test_fast_assign_leaves_moves_past_register_8_alone():
+    program = trm_move(9, 10)
+    standard = trm_run(program, ["", "", "", "", "", "", "", "", "1#1"], FUEL)
+    fast = assert_agrees(program, ["", "", "", "", "", "", "", "", "1#1"],
+                         FUEL, "fast_assign", None)
+    assert fast.steps == standard.steps == 4 + 4 + 3 + 2
+    assert fast.registers == {10: "1#1"}
+
+
+# ---------------------------------------------------------------------------
+# golden output: every toolkit and fixpoint text, byte for byte
+
+def test_toolkit_and_fixpoint_texts_are_pinned():
+    texts = [trm_move(i, j).raw
+             for i in range(1, 9) for j in range(1, 9) if i != j]
+    texts += [trm_erase(i).raw for i in range(1, 9)]
+    texts += [trm_write_program().raw, trm_diag_program().raw,
+              trm_s11_program().raw]
+    for _, base in BASES:
+        texts += [trm_moss_qhat(base).raw, trm_moss_fixpoint(base).raw,
+                  trm_kleene_fixpoint(base).raw]
+    assert len(texts) == 76
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest.startswith("cffad0670d4a")
