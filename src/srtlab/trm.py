@@ -22,15 +22,31 @@ toolkit below (move, write, diag, s11) and both fixpoint constructions
 are built by concatenating text, and every toolkit loop has the one
 shape that ``_loop`` emits.
 
-The ``fast_assign`` variant executes any program segment textually equal
-to a move block between registers 1-8 as a single step.  The executor
-reads a second instruction table, in which the first instruction of each
-such block is a sixth opcode, (6, (i, j)).  This changes cost, never
-text or behaviour, so the same program can be timed under both variants.
+The runner executes two static shapes in one iteration each, charging
+the exact step count of running them one instruction at a time:
+
+  * a loop of that shape whose bodies of h (on #) and o (on 1) appends
+    never name its case register: on a register holding a 1s and b #s
+    it costs (o+3)a + (h+2)b + 2 steps, and its effect is one
+    ``str.translate`` of that register's text into each register the
+    bodies name (``trm_erase``'s loop, at 2a + 2b + 2, is summed up too);
+  * a write run of two or more appends: one step each.
+
+The table of these blocks is built once per program, keyed by start pc.
+The runner steps one instruction at a time instead when a block costs
+more than the fuel left, or when it ends past the set-up boundary, so
+exhaustion and ``setup_steps`` stay exact.
+
+The ``fast_assign`` variant is a cost rule on the same table: a move
+block between registers 1-8 costs one step and runs atomically.  This
+changes cost, never text or behaviour, so the same program can be timed
+under both variants.
 """
 
+import re
 import sys
 from collections import deque
+from operator import itemgetter
 
 __all__ = [
     "TrmProgram", "TrmResult", "TrmParseError",
@@ -41,7 +57,9 @@ __all__ = [
     "setup_boundary",
 ]
 
-_MAX_HASHES = 5
+_ILLEGAL = re.compile(r"[^1#]")
+_INSTR = re.compile(r"1+#+")
+_SYMBOLS = bytes.maketrans(b"\x01\x02", b"1#")   # append opcode -> symbol
 
 
 class TrmParseError(ValueError):
@@ -55,26 +73,25 @@ def trm_parse(raw):
     return TrmProgram(raw)
 
 
+class _Instrs(dict):
+    """Instruction text -> (k, n), so each distinct text is counted once."""
+
+    def __missing__(self, text):
+        n = text.index("#")
+        self[text] = instr = (len(text) - n, n)
+        return instr
+
+
 def _parse_instructions(raw):
-    instrs = []
-    i, n = 0, len(raw)
-    while i < n:
-        start = i
-        while i < n and raw[i] == "1":
-            i += 1
-        ones = i - start
-        if ones == 0:
-            raise TrmParseError("instruction must start with 1s", i)
-        hstart = i
-        while i < n and raw[i] == "#":
-            i += 1
-        hashes = i - hstart
-        if hashes == 0:
-            raise TrmParseError("instruction lacks #s", start)
-        if hashes > _MAX_HASHES:
-            raise TrmParseError("too many #s in one instruction", hstart)
-        instrs.append((hashes, ones))
-    return tuple(instrs)
+    """The (k, n) pairs of a text over {1,#}, which tokenises as 1+#+."""
+    if raw.startswith("#"):
+        raise TrmParseError("instruction must start with 1s", 0)
+    six = raw.find("######")
+    if six >= 0:
+        raise TrmParseError("too many #s in one instruction", six)
+    if raw.endswith("1"):
+        raise TrmParseError("instruction lacks #s", len(raw.rstrip("1")))
+    return tuple(map(_Instrs().__getitem__, _INSTR.findall(raw)))
 
 
 def trm_print(program):
@@ -83,15 +100,16 @@ def trm_print(program):
 
 
 class TrmProgram:
-    __slots__ = ("raw", "instrs", "_fast")
+    __slots__ = ("raw", "instrs", "_blocks")
 
     def __init__(self, raw):
-        bad = next((k for k, ch in enumerate(raw) if ch not in "1#"), None)
+        bad = _ILLEGAL.search(raw)
         if bad is not None:
-            raise TrmParseError(f"illegal character {raw[bad]!r}", bad)
+            raise TrmParseError(f"illegal character {bad.group()!r}",
+                                bad.start())
         self.raw = raw
         self.instrs = _parse_instructions(raw)
-        self._fast = None
+        self._blocks = None
 
     def __len__(self):
         return len(self.instrs)
@@ -100,21 +118,62 @@ class TrmProgram:
         text = self.raw if len(self.raw) <= 40 else self.raw[:37] + "..."
         return f"<1# program [{len(self.instrs)} instrs] {text}>"
 
-    def _fast_table(self):
-        """``instrs`` with each move block between registers 1-8 starting
-        with (6, (i, j)) in place of its case; built once per program."""
-        if self._fast is None:
+    def _summaries(self):
+        """(blocks, names), built once per program: the summed-up loops
+        and write runs keyed by start pc, and the registers that the
+        instructions name."""
+        if self._blocks is None:
             instrs = self.instrs
-            table = list(instrs)
-            for k, (op, i) in enumerate(instrs[:-6]):
-                if op != 5 or i > 8:
-                    continue
-                j = instrs[k + 3][1]
-                if (j <= 8 and j != i
-                        and instrs[k:k + 7] == _parse_instructions(_move(i, j))):
-                    table[k] = (6, (i, j))
-            self._fast = tuple(table)
-        return self._fast
+            ops = bytes(map(itemgetter(0), instrs))
+            blocks = {}
+            for run in re.finditer(rb"[\x01\x02]{2,}", ops):
+                k, end = run.span()
+                blocks[k + 1] = (end + 1, 0, end - k, 0, 0,
+                                 _appends(instrs[k:end]), False)
+            for case in re.finditer(rb"\x05\x03\x03", ops):
+                k = case.start()
+                loop = _loop_block(instrs, k)
+                if loop is not None:
+                    blocks[k + 1] = loop
+            for case in re.finditer(rb"\x05\x03\x04\x04", ops):
+                k = case.start()    # trm_erase: two steps a symbol
+                if instrs[k + 1:k + 4] == ((3, 3), (4, 2), (4, 3)):
+                    blocks[k + 1] = (k + 5, instrs[k][1], 2, 2, 2, [], False)
+            names = {n for op, n in set(instrs) if op in (1, 2, 5)}
+            self._blocks = (blocks, names)
+        return self._blocks
+
+
+def _appends(body):
+    """[(n, text)]: what the appends ``body`` add to each register n."""
+    names = set(map(itemgetter(1), body))
+    if len(names) == 1:             # as write_code emits: C-speed text
+        ops = bytes(map(itemgetter(0), body))
+        return [(names.pop(), ops.translate(_SYMBOLS).decode())]
+    return [(n, "".join(["1#"[op - 1] for op, m in body if m == n]))
+            for n in names]
+
+
+def _loop_block(instrs, k):
+    """The summary of the ``_loop`` shape whose case is instrs[k], or None:
+    (exit pc, r, fixed cost, cost per 1, cost per #, [(n, translate table)],
+    whether it is a move between registers 1-8)."""
+    r = instrs[k][1]
+    h = instrs[k + 2][1] - 2
+    o = instrs[k + 1][1] - 4 - h
+    if h < 0 or o < 0 or k + 5 + h + o > len(instrs):
+        return None
+    on_hash = instrs[k + 3:k + 3 + h]
+    on_one = instrs[k + 4 + h:k + 4 + h + o]
+    if (instrs[k + 3 + h] != (4, 3 + h) or instrs[k + 4 + h + o] != (4, 4 + h + o)
+            or any(op > 2 or n == r for op, n in on_hash + on_one)):
+        return None
+    hashes, ones = dict(_appends(on_hash)), dict(_appends(on_one))
+    outs = [(n, str.maketrans({"1": ones.get(n, ""), "#": hashes.get(n, "")}))
+            for n in hashes.keys() | ones.keys()]
+    move = (h == o == 1 and on_hash[0][0] == 2 and on_one[0][0] == 1
+            and on_hash[0][1] == on_one[0][1] <= 8 and r <= 8)
+    return (k + 6 + h + o, r, 2, o + 3, h + 2, outs, move)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +192,8 @@ def _loop(r, on_hash, on_one):
         one: on_one...; back top
         end:
     """
-    h = len(_parse_instructions(on_hash))
-    o = len(_parse_instructions(on_one))
+    h = on_hash.count("1#")         # one 1# inside each instruction
+    o = on_one.count("1#")
     return (_ins(5, r) + _ins(3, 4 + h + o) + _ins(3, 2 + h)
             + on_hash + _ins(4, 3 + h)
             + on_one + _ins(4, 4 + h + o))
@@ -312,18 +371,19 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    if variant == "standard":
-        table = program.instrs
-    elif variant == "fast_assign":
-        table = program._fast_table()
-    else:
+    if variant not in ("standard", "fast_assign"):
         raise ValueError(f"unknown variant {variant!r}")
-    regs = {}
-    for idx, text in enumerate(inputs, start=1):
-        for ch in text:
-            if ch not in "1#":
-                raise ValueError("register contents must be over {1,#}")
-        regs[idx] = deque(text)
+    fast = variant == "fast_assign"
+    blocks, names = program._summaries()
+    named = names.union(range(len(inputs) + 1))     # R0 is always empty
+    regs = [None] * (max(named) + 1)    # no deque for a register never named
+    for n in named:
+        regs[n] = deque()
+    for reg, text in zip(regs[1:], inputs):
+        if _ILLEGAL.search(text):
+            raise ValueError("register contents must be over {1,#}")
+        reg.extend(text)
+    table = program.instrs
     length = len(table)
     never = sys.maxsize             # beyond any counter a program can reach
     mark = never if boundary is None else boundary
@@ -334,6 +394,27 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
         if pc >= mark:
             setup = steps
             mark = never
+        block = blocks.get(pc)
+        if block is not None:
+            end, r, base, per_one, per_hash, outs, move = block
+            atomic = fast and move
+            if end <= mark or atomic:
+                text = "".join(regs[r])     # R0, always empty, for a write run
+                ones = text.count("1")
+                cost = 1 if atomic else (
+                    base + per_one * ones + per_hash * (len(text) - ones))
+                if cost <= fuel - steps:
+                    steps += cost
+                    pc = end
+                    if r:
+                        regs[r].clear()
+                        for n, trans in outs:
+                            regs[n].extend(text.translate(trans))
+                    else:
+                        for n, add in outs:
+                            regs[n].extend(add)
+                    continue
+                blocks = {}         # the fuel runs out inside this block
         if not 0 < pc <= length:
             status = TrmResult.HALTED if pc == length + 1 else TrmResult.ABNORMAL
             break
@@ -344,7 +425,7 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
             break
         op, n = table[pc - 1]
         if op == 5:
-            reg = regs.get(n)
+            reg = regs[n]
             if not reg:
                 pc += 1
             elif reg.popleft() == "1":
@@ -353,20 +434,11 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
                 pc += 3
         elif op == 4:
             pc -= n
-        elif op == 2:
-            regs.setdefault(n, deque()).append("#")
-            pc += 1
-        elif op == 1:
-            regs.setdefault(n, deque()).append("1")
-            pc += 1
         elif op == 3:
             pc += n
         else:
-            src = regs.get(n[0])
-            if src:
-                regs.setdefault(n[1], deque()).extend(src)
-                src.clear()
-            pc += 7
-    registers = {k: "".join(v) for k, v in regs.items() if v}
+            regs[n].append("1#"[op - 1])
+            pc += 1
+    registers = {k: "".join(v) for k, v in enumerate(regs) if v}
     output = registers.get(1, "")
     return TrmResult(output, steps, status, setup, registers)

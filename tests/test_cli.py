@@ -1,5 +1,7 @@
 import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,8 @@ from srtlab.cli import main
 from srtlab.flowchart import decode, encode
 from srtlab.sexpr import parse, sexpr_print
 from srtlab.srt import demo_program
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.fixture
@@ -177,4 +181,15 @@ def test_experiment_to_stdout(capsys):
 def test_experiment_json_is_pinned(capsys, name, digest):
     code, out, _ = run_cli(capsys, "experiment", name, "--seed", "0")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("futamura_tour", "553a9a623b60"),
+    ("quine_tour", "9bb49997ce47"),
+    ("trm_tour", "ff8e8d7324fc"),
+])
+def test_demo_output_is_pinned(capsys, name, digest):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)

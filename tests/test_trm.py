@@ -5,10 +5,10 @@ import re
 import pytest
 
 from srtlab.trm import (
-    TrmParseError, setup_boundary, trm_compose, trm_diag_program,
-    trm_erase, trm_kleene_fixpoint, trm_move, trm_moss_fixpoint,
-    trm_moss_qhat, trm_parse, trm_print, trm_run, trm_s11_program,
-    trm_write_program, write_code,
+    TrmParseError, TrmProgram, _loop, setup_boundary, trm_compose,
+    trm_diag_program, trm_erase, trm_kleene_fixpoint, trm_move,
+    trm_moss_fixpoint, trm_moss_qhat, trm_parse, trm_print, trm_run,
+    trm_s11_program, trm_write_program, write_code,
 )
 
 FUEL = 10**6
@@ -255,6 +255,58 @@ def test_inputs_validated():
 
 
 # ---------------------------------------------------------------------------
+# the tokeniser against a reference scanner, one character at a time
+
+def ref_scan(raw):
+    """(k, n) pairs of ``raw``, or the (message, offset) of its first error."""
+    for k, ch in enumerate(raw):
+        if ch not in "1#":
+            return f"illegal character {ch!r}", k
+    instrs = []
+    i, n = 0, len(raw)
+    while i < n:
+        start = i
+        while i < n and raw[i] == "1":
+            i += 1
+        if i == start:
+            return "instruction must start with 1s", i
+        hstart = i
+        while i < n and raw[i] == "#":
+            i += 1
+        if i == hstart:
+            return "instruction lacks #s", start
+        if i - hstart > 5:
+            return "too many #s in one instruction", hstart
+        instrs.append((i - hstart, hstart - start))
+    return tuple(instrs)
+
+
+def test_tokeniser_matches_the_reference_scanner():
+    rng = random.Random(107)
+    seen = set()
+    for _ in range(4000):
+        alphabet = rng.choice(["1#", "1#", "1##", "1#x"])
+        raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        expected = ref_scan(raw)
+        try:
+            got = TrmProgram(raw).instrs
+        except TrmParseError as err:
+            got = str(err).rsplit(" (at offset ", 1)[0], err.offset
+            assert str(err) == f"{got[0]} (at offset {got[1]})"
+        assert got == expected, raw
+        seen.add(got[0] if got and isinstance(got[0], str) else "ok")
+        bad = any(ch not in "1#" for ch in raw)
+        try:
+            trm_run(trm_parse(""), ["", raw], 1)
+        except ValueError as err:
+            assert bad and str(err) == "register contents must be over {1,#}"
+        else:
+            assert not bad
+    assert len(seen) == 5
+    assert "illegal character 'x'" in seen
+
+
+# ---------------------------------------------------------------------------
 # differential oracle: a reference runner, one instruction at a time
 
 def ref_instructions(raw):
@@ -402,6 +454,72 @@ def test_fast_assign_leaves_moves_past_register_8_alone():
                          FUEL, "fast_assign", None)
     assert fast.steps == standard.steps == 4 + 4 + 3 + 2
     assert fast.registers == {10: "1#1"}
+
+
+# ---------------------------------------------------------------------------
+# summed-up loops and write runs against the reference runner
+
+def ins(op, n):
+    return "1" * n + "#" * op
+
+
+#: Loops of the toolkit's shape: the move, emit, dup and copy bodies, a
+#: body writing to three registers, and an empty body on either side.
+LOOPS = [
+    _loop(1, ins(2, 2), ins(1, 2)),
+    _loop(1, ins(1, 2) + ins(2, 2) + ins(2, 2), ins(1, 2) + ins(2, 2)),
+    _loop(1, ins(1, 2) + ins(2, 2) + ins(2, 2) + ins(2, 3),
+          ins(1, 2) + ins(2, 2) + ins(1, 3)),
+    _loop(1, ins(2, 2) + ins(2, 3), ins(1, 2) + ins(1, 3)),
+    _loop(2, ins(1, 3) + ins(2, 1) + ins(1, 4), ""),
+    _loop(3, "", ins(2, 1) + ins(2, 1)),
+]
+
+
+def agree_at_every_fuel(program, inputs, boundaries, limit=FUEL):
+    """Compare with ``ref_run`` at every fuel up to the end of the run."""
+    for variant in VARIANTS:
+        full = trm_run(program, inputs, limit, variant=variant)
+        for fuel in range(1, min(full.steps, limit - 1) + 2):
+            for b in boundaries:
+                assert_agrees(program, inputs, fuel, variant, b)
+    return full
+
+
+def test_oracle_at_every_fuel_on_long_loops():
+    rng = random.Random(109)
+    for loop in LOOPS + [trm_erase(1).raw]:
+        program = trm_parse(write_code(rand_string(rng, 6)) + loop
+                            + write_code(rand_string(rng, 6)))
+        for size in (64, rng.randint(0, 64)):
+            inputs = ["".join(rng.choice("1#") for _ in range(size))
+                      for _ in range(3)]
+            boundary = rng.randint(1, len(program) + 1)
+            full = agree_at_every_fuel(program, inputs, (None, boundary))
+            assert full.status == "halted"
+
+
+def test_oracle_with_a_boundary_inside_a_block():
+    dup = LOOPS[2]                    # hash body at pcs 4-7, one body 9-11
+    program = trm_parse(dup + write_code("1#1#1"))     # write run 14-18
+    for boundary in (2, 5, 8, 10, 13, 14, 16, 18, 19):
+        agree_at_every_fuel(program, ["#11##1#1", "1", ""], (boundary,))
+
+
+def test_oracle_after_a_wild_jump_into_a_block():
+    into_loop = trm_parse(ins(3, 4) + LOOPS[0])        # lands in on_hash
+    into_run = trm_parse(ins(3, 3) + write_code("1#1#1") + LOOPS[1])
+    for program in (into_loop, into_run):
+        for boundary in (None, 3, 5):
+            agree_at_every_fuel(program, ["1##1#", "#"], (boundary,))
+
+
+def test_a_loop_appending_to_its_own_register_is_stepped():
+    program = trm_parse(_loop(1, ins(2, 1), ins(1, 2)))
+    blocks, _ = program._summaries()
+    assert 1 not in blocks
+    full = agree_at_every_fuel(program, ["1#1"], (None, 4), limit=300)
+    assert full.status == "fuel_exhausted"
 
 
 # ---------------------------------------------------------------------------
