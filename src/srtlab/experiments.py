@@ -11,7 +11,7 @@ import json
 from .build import QA, QNIL, V, asg, cons, hd, prog, seq, tl, wh
 from .flowchart import decode, encode, run
 from .selfint import measure_overhead
-from .sexpr import dag_size, from_unary, parse, to_unary, tree_size
+from .sexpr import dag_size, from_unary, measure, parse, to_unary
 from .srt import (
     DEMO_NAMES, demo_program, kleene_fixpoint, kleene_intermediate,
     moss_fixpoint,
@@ -290,7 +290,7 @@ def experiment_sizes(fuel=DEFAULT_FUEL, seed=0):
                             ("moss", moss_fixpoint)):
             pstar = fix(base)
             enc = encode(pstar)
-            ts, ds = tree_size(enc), dag_size(enc)
+            ts, ds = measure(enc)
             strict = strict and ts > ds
             entry = {"method": method, "tree_size": ts, "dag_size": ds}
             if method == "kleene":

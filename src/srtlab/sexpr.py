@@ -9,7 +9,16 @@ once per distinct node).
 Concrete text format: ``(a b c)`` abbreviates right-nested pairs ending
 in the empty-list atom ``()``; improper tails are written with a dot,
 ``(a . b)``.
+
+The codec is iterative, so depth is bounded by memory alone: ``parse``
+tokenises with one regular expression (character offsets are computed
+only for a ``ParseError``), and ``sexpr_print`` and ``measure`` walk
+each list's tail chain in a loop, keeping a stack only for nested list
+heads.
 """
+
+import re
+from itertools import islice
 
 __all__ = [
     "SExpr", "Atom", "Pair", "NIL", "ONE",
@@ -82,56 +91,46 @@ class ParseError(ValueError):
         self.position = position
 
 
-_DELIMS = "()"
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DELIMS:
-            tokens.append((ch, i))
-            i += 1
-            continue
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in _DELIMS:
-            i += 1
-        tokens.append((text[start:i], start))
-    return tokens
+def _error(text, message, index):
+    """ParseError at token ``index``: offsets are found only on this path."""
+    match = next(islice(_TOKEN.finditer(text), index, None))
+    return ParseError(message, match.start())
 
 
 def parse(text):
     """Parse one s-expression; reject leftover tokens.
 
     Iterative: ``values``, ``dot`` (the index of a dotted tail) and
-    ``start`` describe the innermost open list, ``outer`` the others.
+    ``start`` (the token index of its '(') describe the innermost open
+    list, ``outer`` the others.  Every token becomes a fresh atom (a
+    literal ``()`` too); every list ends in the shared ``NIL``.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty input", 0)
+    last = len(tokens) - 1
     outer = []
     values = dot = start = None  # values is None outside every list
-    for pos, (tok, offset) in enumerate(tokens):
+    for pos, tok in enumerate(tokens):
         if tok == "(" or (tok != ")" and tok != "."):
             if dot is not None and dot < len(values):
-                raise ParseError("more than one value after '.'", offset)
+                raise _error(text, "more than one value after '.'", pos)
             if tok == "(":
                 outer.append((values, dot, start))
-                values, dot, start = [], None, offset
+                values, dot, start = [], None, pos
                 continue
             value = Atom(tok)
         elif values is None:
-            raise ParseError("unbalanced ')'" if tok == ")" else "unexpected '.'",
-                             offset)
+            raise _error(text, "unbalanced ')'" if tok == ")" else "unexpected '.'",
+                         pos)
         elif tok == ".":
             if not values or dot is not None:
-                raise ParseError("misplaced '.'", offset)
-            if pos + 1 == len(tokens) or tokens[pos + 1][0] in (")", "."):
-                raise ParseError("missing value after '.'", offset)
+                raise _error(text, "misplaced '.'", pos)
+            if pos == last or tokens[pos + 1] in (")", "."):
+                raise _error(text, "missing value after '.'", pos)
             dot = len(values)
             continue
         else:
@@ -143,71 +142,94 @@ def parse(text):
                     value = Pair(element, value)
             values, dot, start = outer.pop()
         if values is None:
-            if pos + 1 != len(tokens):
-                raise ParseError("stray tokens after expression",
-                                 tokens[pos + 1][1])
+            if pos != last:
+                raise _error(text, "stray tokens after expression", pos + 1)
             return value
         values.append(value)
-    raise ParseError("unbalanced '('", start)
+    raise _error(text, "unbalanced '('", start)
 
 
 def sexpr_print(s):
     """Canonical text: list notation where the tail chain ends in ().
 
-    Iterative (values may be deeply nested); a () in tail position closes
+    Iterative (values may be deeply nested): each list's tail chain is
+    walked in a loop with atom heads written inline; a nested list head
+    pushes the rest of its enclosing list.  A () in tail position closes
     the list, any other atom there prints dotted.
     """
-    out = []
-    stack = [(s, False)]
-    while stack:
-        entry = stack.pop()
-        if entry is None:  # close-paren marker
+    if type(s) is Atom:
+        return s.name
+    out = ["("]
+    rests = []
+    node = s  # a pair whose head is the next element to print
+    while True:
+        head = node.head
+        if type(head) is not Atom:
+            rests.append(node.tail)
+            out.append("(")
+            node = head
+            continue
+        out.append(head.name)
+        rest = node.tail
+        while type(rest) is Atom:  # the list ends: close it, resume its parent
+            if rest.name != "()":
+                out.append(" . ")
+                out.append(rest.name)
             out.append(")")
-            continue
-        node, in_tail = entry
-        if type(node) is Atom:
-            if in_tail:
-                if node.name != "()":
-                    out.append(" . ")
-                    out.append(node.name)
+            if not rests:
+                return "".join(out)
+            rest = rests.pop()
+        out.append(" ")
+        node = rest
+
+
+def measure(s):
+    """Return (tree_size, dag_size) in one post-order pass.
+
+    Tree size counts shared nodes once per visit, DAG size once per
+    distinct node.  ``sizes`` maps the id of every node reached to its
+    tree size, so counts astronomically larger than the DAG stay cheap.
+    Each list's tail chain (its spine) is walked down to a sized node,
+    then sized back from its end; an unsized pair head suspends the
+    spine in ``frames``.  The pairs still unsized are then all ancestors
+    of the node being sized, so no node is met again half-done.
+    """
+    sizes = {}
+    get = sizes.get
+    frames = []  # suspended spines, each with the size of what follows it
+    node = s
+    while True:
+        spine = []
+        rest = get(id(node))
+        while rest is None:
+            if type(node) is Atom:
+                rest = sizes[id(node)] = 1
             else:
-                out.append(node.name)
-            continue
-        if in_tail:
-            out.append(" ")
-            stack.append((node.tail, True))
-            stack.append((node.head, False))
-            continue
-        out.append("(")
-        stack.append(None)
-        stack.append((node.tail, True))
-        stack.append((node.head, False))
-    return "".join(out)
+                spine.append(node)
+                node = node.tail
+                rest = get(id(node))
+        while True:
+            if not spine:
+                if not frames:
+                    return rest, len(sizes)
+                spine, rest = frames.pop()
+            pair = spine.pop()
+            head = pair.head
+            key = id(head)
+            size = get(key)
+            if size is None:
+                if type(head) is not Atom:
+                    spine.append(pair)
+                    frames.append((spine, rest))
+                    node = head
+                    break
+                size = sizes[key] = 1
+            rest = sizes[id(pair)] = 1 + size + rest
 
 
 def tree_size(s):
-    """Node count with shared nodes counted once per visit.
-
-    Memoised per distinct node, so heavily shared values are still cheap
-    to measure (counts can be astronomically larger than the DAG).
-    """
-    sizes = {}
-    stack = [(s, False)]
-    while stack:
-        node, ready = stack.pop()
-        key = id(node)
-        if ready:
-            sizes[key] = 1 + sizes[id(node.head)] + sizes[id(node.tail)]
-            continue
-        if key in sizes:
-            continue
-        if type(node) is Atom:
-            sizes[key] = 1
-        else:
-            stack.append((node, True))
-            stack.append((node.tail, False))
-            stack.append((node.head, False))
-    return sizes[id(s)]
+    """Node count with shared nodes counted once per visit."""
+    return measure(s)[0]
 
 
 def dag_size(s):
@@ -224,11 +246,6 @@ def dag_size(s):
             stack.append(node.head)
             stack.append(node.tail)
     return len(seen)
-
-
-def measure(s):
-    """Return (tree_size, dag_size)."""
-    return tree_size(s), dag_size(s)
 
 
 def equal(a, b):

@@ -43,6 +43,7 @@ changes cost, never text or behaviour, so the same program can be timed
 under both variants.
 """
 
+import functools
 import re
 import sys
 from collections import deque
@@ -241,12 +242,14 @@ def _dup_loop():
                  _ins(1, 2) + _ins(2, 2) + _ins(1, 3))
 
 
+@functools.cache
 def trm_diag_program():
     """On an encoded program r in R1, leaves write_code(r) + r in R1.
 
     The output program, run on empty registers, first rebuilds r in R1
     and then falls into r itself: it computes r applied to r's own text.
-    Uses R2 and R3.
+    Uses R2 and R3.  Built once per process; every caller shares the one
+    ``TrmProgram``.
     """
     return TrmProgram(_dup_loop() + _move(3, 2) + _move(2, 1))
 
@@ -256,13 +259,15 @@ def _copy_loop():
     return _loop(1, _ins(2, 2) + _ins(2, 3), _ins(1, 2) + _ins(1, 3))
 
 
+@functools.cache
 def trm_s11_program():
     """Specialiser: on (p, s) in (R1, R2), leaves in R1 a program t with
     run(t, [d]) = run(p, [s, d]).
 
     The output has the fixed shape  move(1,2) + write_code(s) + p : it
     shelves its own argument into R2, rebuilds s in R1, then runs p.
-    Built from the toolkit blocks; uses R3.
+    Assembled from the toolkit blocks; uses R3.  Built once per process;
+    every caller shares the one ``TrmProgram``.
     """
     return TrmProgram(
         _move(1, 3)                     # stash p

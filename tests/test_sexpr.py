@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -138,3 +139,213 @@ def test_deep_values_do_not_overflow():
     s = to_unary(n)
     assert tree_size(s) == 2 * n + 1
     assert from_unary(parse(sexpr_print(s))) == n
+
+
+def test_deep_head_nesting_does_not_overflow():
+    n = 10**5
+    s = NIL
+    for _ in range(n):
+        s = Pair(s, NIL)
+    text = sexpr_print(s)
+    assert text == "(" * n + "()" + ")" * n
+    assert measure(s) == (2 * n + 1, n + 1)     # every tail is the one NIL
+    # parsing gives the innermost () its own atom; every list ends in NIL
+    assert measure(parse(text)) == (2 * n + 1, n + 2)
+
+
+# ---------------------------------------------------------------------------
+# the parser against a reference: the character-at-a-time tokeniser and
+# the parse loop over (token, offset) pairs that the regex tokeniser replaced
+
+def ref_tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "()":
+            tokens.append((ch, i))
+            i += 1
+            continue
+        start = i
+        while i < n and not text[i].isspace() and text[i] not in "()":
+            i += 1
+        tokens.append((text[start:i], start))
+    return tokens
+
+
+def ref_parse(text):
+    tokens = ref_tokenize(text)
+    if not tokens:
+        raise ParseError("empty input", 0)
+    outer = []
+    values = dot = start = None
+    for pos, (tok, offset) in enumerate(tokens):
+        if tok == "(" or (tok != ")" and tok != "."):
+            if dot is not None and dot < len(values):
+                raise ParseError("more than one value after '.'", offset)
+            if tok == "(":
+                outer.append((values, dot, start))
+                values, dot, start = [], None, offset
+                continue
+            value = Atom(tok)
+        elif values is None:
+            raise ParseError("unbalanced ')'" if tok == ")" else "unexpected '.'",
+                             offset)
+        elif tok == ".":
+            if not values or dot is not None:
+                raise ParseError("misplaced '.'", offset)
+            if pos + 1 == len(tokens) or tokens[pos + 1][0] in (")", "."):
+                raise ParseError("missing value after '.'", offset)
+            dot = len(values)
+            continue
+        else:
+            if not values:
+                value = Atom("()")
+            else:
+                value = NIL if dot is None else values.pop()
+                for element in reversed(values):
+                    value = Pair(element, value)
+            values, dot, start = outer.pop()
+        if values is None:
+            if pos + 1 != len(tokens):
+                raise ParseError("stray tokens after expression",
+                                 tokens[pos + 1][1])
+            return value
+        values.append(value)
+    raise ParseError("unbalanced '('", start)
+
+
+def parse_outcome(parser, text):
+    """The printed value and its measure, or the error message and offset;
+    measure tells a fresh () atom from the shared NIL."""
+    try:
+        value = parser(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+    return "value", ref_print(value), ref_measure(value)
+
+
+PIECES = ["(", ")", ".", "a", "bc", " ", "\t", "\n", "\u00a0", "\u2003"]
+
+
+def random_text(rng):
+    """Half free strings of PIECES, half balanced ones (mostly one list)
+    with up to two random edits, so that most of them parse."""
+    if rng.random() < 0.5:
+        weights = [rng.randint(0, 4) for _ in PIECES]
+        weights[0] += 1
+        return "".join(rng.choices(PIECES, weights, k=rng.randint(0, 30)))
+    pieces, depth = [], 0
+    for piece in rng.choices(PIECES, k=rng.randint(0, 30)):
+        if piece == ")" and not depth:
+            continue
+        depth += (piece == "(") - (piece == ")")
+        pieces.append(piece)
+    pieces += [")"] * depth
+    if rng.random() < 0.7:
+        pieces = ["("] + pieces + [")"]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        k = rng.randint(0, len(pieces))
+        if pieces and rng.random() < 0.5:
+            del pieces[min(k, len(pieces) - 1)]
+        else:
+            pieces.insert(k, rng.choice(PIECES))
+    return "".join(pieces)
+
+
+def test_parser_matches_the_reference_parser():
+    rng = random.Random(811)
+    errors = set()
+    lists = 0
+    for _ in range(4000):
+        text = random_text(rng)
+        expected = parse_outcome(ref_parse, text)
+        assert parse_outcome(parse, text) == expected, text
+        if expected[0] == "error":
+            errors.add(expected[1].split(" (at")[0])
+        else:
+            lists += expected[1].startswith("(")
+    assert len(errors) == 8   # every ParseError message was reached
+    assert lists > 500
+
+
+def test_regex_whitespace_is_str_isspace():
+    text = "".join(map(chr, range(0x110000)))
+    assert "".join(re.findall(r"\s", text)) == "".join(filter(str.isspace, text))
+
+
+# ---------------------------------------------------------------------------
+# the printer and measure against recursive references, on random DAGs
+
+def ref_print(s):
+    if type(s) is Atom:
+        return s.name
+    items = []
+    while type(s) is Pair:
+        items.append(ref_print(s.head))
+        s = s.tail
+    dotted = "" if s.name == "()" else " . " + s.name
+    return "(" + " ".join(items) + dotted + ")"
+
+
+def ref_measure(s):
+    trees = {}
+
+    def tree(node):
+        if id(node) not in trees:
+            trees[id(node)] = 1 if type(node) is Atom else (
+                1 + tree(node.head) + tree(node.tail))
+        return trees[id(node)]
+
+    return tree(s), len(trees)
+
+
+def random_dag(rng, steps):
+    """Pairs built over a pool that keeps every node made, so later pairs
+    share earlier ones; atoms include NIL, fresh () atoms and dotted tails."""
+    pool = [NIL, Atom("()"), Atom("a"), Atom("bc")]
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.15:
+            pool.append(rng.choice([Atom("()"), Atom("x"), NIL]))
+        elif roll < 0.35:   # a list of recent nodes, maybe dotted
+            tail = rng.choice([NIL, Atom("()"), Atom("z"), rng.choice(pool)])
+            for _ in range(rng.randint(1, 4)):
+                tail = Pair(rng.choice(pool[-6:]), tail)
+            pool.append(tail)
+        else:
+            pool.append(Pair(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
+def test_printer_and_measure_match_the_references():
+    rng = random.Random(509)
+    shared = 0
+    for _ in range(1500):
+        s = random_dag(rng, rng.randint(0, 14))
+        tree, dag = ref_measure(s)
+        if tree > 20000:
+            continue
+        shared += dag < tree
+        assert measure(s) == (tree, dag)
+        assert tree_size(s) == tree
+        assert dag_size(s) == dag
+        text = sexpr_print(s)
+        assert text == ref_print(s)
+        assert sexpr_print(parse(text)) == text
+        assert measure(parse(text))[0] == tree
+    assert shared > 500
+
+
+@pytest.mark.parametrize("s,text", [
+    (Pair(NIL, NIL), "(())"),
+    (Pair(Atom("()"), Atom("()")), "(())"),
+    (Pair(Pair(NIL, NIL), Pair(NIL, Atom("b"))), "((()) () . b)"),
+    (Pair(Pair(Pair(NIL, NIL), NIL), NIL), "(((())))"),
+])
+def test_empty_lists_in_head_and_tail_position(s, text):
+    assert sexpr_print(s) == ref_print(s) == text
+    assert measure(s) == ref_measure(s)
