@@ -1,27 +1,32 @@
-"""Shorthand constructors for flowchart ASTs.
+"""Short names for building flowchart ASTs by hand.
 
-Program constructions in this package build a fair amount of abstract
-syntax by hand; these helpers keep those listings readable.
+``V``, ``hd``, ``tl``, ``cons``, ``eq``, ``atomp``, ``univ``, ``asg``,
+``iff`` and ``prog`` are the node classes of ``flowchart`` themselves,
+so the program constructions read as prefix terms.  ``QA``, ``QNIL``,
+``lst``, ``seq`` and ``wh`` build more than one node.
 """
 
 from .flowchart import (
-    Assign, Cons, Eq, Hd, If, IsAtom, Program, Quote, SelfRef, Seq, Tl,
-    UnivCall, Var, While,
+    Assign, Cons, Eq, Hd, If, IsAtom, Program, Quote, Seq, Tl, UnivCall,
+    Var, While,
 )
 from .sexpr import NIL, Atom
 
 __all__ = [
-    "V", "Q", "QA", "QNIL", "hd", "tl", "cons", "eq", "atomp", "univ",
-    "selfref", "lst", "asg", "seq", "wh", "iff", "prog",
+    "V", "QA", "QNIL", "hd", "tl", "cons", "eq", "atomp", "univ",
+    "lst", "asg", "seq", "wh", "iff", "prog",
 ]
 
-
-def V(name):
-    return Var(name)
-
-
-def Q(value):
-    return Quote(value)
+V = Var
+hd = Hd
+tl = Tl
+cons = Cons
+eq = Eq
+atomp = IsAtom
+univ = UnivCall
+asg = Assign
+iff = If
+prog = Program
 
 
 def QA(name):
@@ -32,44 +37,12 @@ def QNIL():
     return Quote(NIL)
 
 
-def hd(e):
-    return Hd(e)
-
-
-def tl(e):
-    return Tl(e)
-
-
-def cons(a, b):
-    return Cons(a, b)
-
-
-def eq(a, b):
-    return Eq(a, b)
-
-
-def atomp(e):
-    return IsAtom(e)
-
-
-def univ(p, d):
-    return UnivCall(p, d)
-
-
-def selfref():
-    return SelfRef()
-
-
 def lst(*exprs):
     """Expression that builds the list of the given element expressions."""
     out = QNIL()
     for e in reversed(exprs):
         out = Cons(e, out)
     return out
-
-
-def asg(name, expr):
-    return Assign(name, expr)
 
 
 def seq(*cmds):
@@ -83,11 +56,3 @@ def seq(*cmds):
 
 def wh(test, *body):
     return While(test, seq(*body))
-
-
-def iff(test, then, orelse):
-    return If(test, then, orelse)
-
-
-def prog(inputs, body, output):
-    return Program(inputs, body, output)

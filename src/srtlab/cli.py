@@ -144,6 +144,18 @@ def _cmd_experiment(args):
     return 0
 
 
+def _fuel(text):
+    """The ``--fuel`` value: a positive step budget, else a usage error."""
+    try:
+        fuel = int(text)
+    except ValueError:
+        fuel = 0
+    if fuel <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return fuel
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="srtlab",
@@ -152,7 +164,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomised experiments")
-    common.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    common.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL,
                         help="step budget for every run")
     sub = parser.add_subparsers(dest="verb", required=True)
 

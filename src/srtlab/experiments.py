@@ -11,7 +11,7 @@ import json
 from .build import QA, QNIL, V, asg, cons, hd, prog, seq, tl, wh
 from .flowchart import decode, encode, run
 from .selfint import measure_overhead
-from .sexpr import dag_size, from_unary, measure, parse, to_unary
+from .sexpr import from_unary, measure, parse, to_unary
 from .srt import (
     DEMO_NAMES, demo_program, kleene_fixpoint, kleene_intermediate,
     moss_fixpoint,
@@ -285,7 +285,7 @@ def experiment_sizes(fuel=DEFAULT_FUEL, seed=0):
     for name in DEMO_NAMES:
         base = demo_program(name)
         tilde = kleene_intermediate(base)
-        tilde_dag = dag_size(encode(tilde))
+        tilde_dag = measure(encode(tilde))[1]
         for method, fix in (("kleene", kleene_fixpoint),
                             ("moss", moss_fixpoint)):
             pstar = fix(base)

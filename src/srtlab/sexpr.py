@@ -23,7 +23,7 @@ from itertools import islice
 __all__ = [
     "SExpr", "Atom", "Pair", "NIL", "ONE",
     "ParseError", "parse", "sexpr_print", "measure", "tree_size",
-    "dag_size", "equal", "is_nil", "truthy", "from_list", "to_list",
+    "dag_size", "equal", "is_nil", "from_list", "to_list",
     "from_unary", "to_unary",
 ]
 
@@ -76,11 +76,6 @@ ONE = Atom("1")
 
 def is_nil(s):
     return type(s) is Atom and s.name == "()"
-
-
-def truthy(s):
-    """Boolean convention of the flowchart language: () is false."""
-    return not is_nil(s)
 
 
 class ParseError(ValueError):
@@ -234,18 +229,7 @@ def tree_size(s):
 
 def dag_size(s):
     """Number of distinct nodes reachable (by node identity)."""
-    seen = set()
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        if type(node) is Pair:
-            stack.append(node.head)
-            stack.append(node.tail)
-    return len(seen)
+    return measure(s)[1]
 
 
 def equal(a, b):

@@ -8,10 +8,8 @@ be run, specialised and self-applied like any other data.
 
 import functools
 
-from .build import QA, lst
-from .flowchart import (
-    Assign, Hd, If, Program, Quote, Seq, Tl, Var, While, expr_vars,
-)
+from .build import QA, V, asg, hd, lst, prog, seq, tl
+from .flowchart import Assign, If, Program, Quote, Seq, Var, While, expr_vars
 from .sexpr import NIL
 
 __all__ = ["specialize", "s11_program", "eliminate_dead_code"]
@@ -42,34 +40,17 @@ def s11_program():
     specialised program.  No validation: garbage in, garbage out.
     Built once per process; every caller shares the one ``Program``.
     """
-    pgm = Var("pgm")
-    body = Seq(
-        Assign("inputvar", Hd(Hd(pgm))),
-        Seq(
-            Assign("C", Hd(Tl(pgm))),
-            Seq(
-                Assign("outputvar", Hd(Tl(Tl(pgm)))),
-                Seq(
-                    Assign("initialise",
-                           lst(QA(":="),
-                               Var("inputvar"),
-                               lst(QA("QUOTE"),
-                                   Var("s")))),
-                    Seq(
-                        Assign("body",
-                               lst(QA(";"),
-                                   Var("initialise"),
-                                   Var("C"))),
-                        Assign("outpgm",
-                               lst(Tl(Hd(pgm)),
-                                   Var("body"),
-                                   Var("outputvar"))),
-                    ),
-                ),
-            ),
-        ),
+    pgm = V("pgm")
+    body = seq(
+        asg("inputvar", hd(hd(pgm))),
+        asg("C", hd(tl(pgm))),
+        asg("outputvar", hd(tl(tl(pgm)))),
+        asg("initialise",
+            lst(QA(":="), V("inputvar"), lst(QA("QUOTE"), V("s")))),
+        asg("body", lst(QA(";"), V("initialise"), V("C"))),
+        asg("outpgm", lst(tl(hd(pgm)), V("body"), V("outputvar"))),
     )
-    return Program(("pgm", "s"), body, "outpgm")
+    return prog(("pgm", "s"), body, "outpgm")
 
 
 # ---------------------------------------------------------------------------

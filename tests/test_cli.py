@@ -133,6 +133,18 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("fuel", ["0", "-5", "abc", "1.5"])
+@pytest.mark.parametrize("argv", [["run", "f.sexp", "a"],
+                                  ["run", "f.1#", "--lang", "trm"],
+                                  ["fixpoint", "f.sexp"],
+                                  ["experiment", "sizes"]])
+def test_bad_fuel_is_a_usage_error(capsys, argv, fuel):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--fuel", fuel])
+    assert info.value.code == 2
+    assert "--fuel" in capsys.readouterr().err
+
+
 def test_unknown_demo_is_a_program_error(capsys):
     code, _, err = run_cli(capsys, "demo", "nope")
     assert code == 1 and "unknown demo" in err

@@ -4,8 +4,9 @@ import pytest
 
 from srtlab.build import QA, V, asg, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
-    Assign, DecodeError, RunResult, Seq, Var, command_vars, decode, encode,
-    is_tiny, rename_command, run,
+    Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Quote, RunResult, SelfRef,
+    Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, is_tiny,
+    rename_command, run,
 )
 from srtlab.proggen import random_inputs, random_tiny_program
 from srtlab.sexpr import equal, parse, sexpr_print, to_unary
@@ -17,6 +18,21 @@ FUEL = 10**6
 
 def dec(text):
     return decode(parse(text))
+
+
+@pytest.mark.parametrize("cls", [
+    Assign, Seq, While, If, Var, SelfRef, Quote, Hd, Tl, Cons, Eq, IsAtom,
+    UnivCall,
+])
+def test_node_classes_take_their_fields_positionally(cls):
+    fields = cls.__slots__
+    node = cls(*range(len(fields)))
+    assert [getattr(node, f) for f in fields] == list(range(len(fields)))
+    assert node._enc is None
+    for wrong in (len(fields) - 1, len(fields) + 1):
+        if wrong >= 0:
+            with pytest.raises(TypeError):
+                cls(*range(wrong))
 
 
 def test_decode_projection():

@@ -1,8 +1,13 @@
 """Property tests: the s-expression codec round-trips on generated values
-and on generated canonical texts."""
+and on generated canonical texts, and the program codec on generated
+programs of every node kind."""
 
 from hypothesis import given, settings, strategies as st
 
+from srtlab.flowchart import (
+    Assign, Cons, Eq, Hd, If, IsAtom, Program, Quote, SelfRef, Seq, Tl,
+    UnivCall, Var, While, decode, encode, rename_command,
+)
 from srtlab.sexpr import Atom, Pair, equal, parse, sexpr_print, tree_size
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -42,3 +47,34 @@ def test_parse_inverts_print(s):
 @given(texts)
 def test_print_inverts_parse_on_canonical_texts(text):
     assert sexpr_print(parse(text)) == text
+
+
+# variable names: any token but (), * and a lone dot; '%' admits reserved ones
+variables = st.text(alphabet="ax1=:%", min_size=1, max_size=3)
+expressions = st.recursive(
+    variables.map(Var) | st.builds(SelfRef) | values.map(Quote),
+    lambda inner: st.one_of(
+        *(st.builds(op, inner) for op in (Hd, Tl, IsAtom)),
+        *(st.builds(op, inner, inner) for op in (Cons, Eq, UnivCall))),
+    max_leaves=8)
+commands = st.recursive(
+    st.builds(Assign, variables, expressions),
+    lambda inner: st.one_of(st.builds(Seq, inner, inner),
+                            st.builds(While, expressions, inner),
+                            st.builds(If, expressions, inner, inner)),
+    max_leaves=8)
+programs = st.builds(Program, st.lists(variables, max_size=3, unique=True),
+                     commands, variables)
+
+
+@PROPERTY
+@given(programs)
+def test_decode_inverts_encode(p):
+    text = sexpr_print(encode(p))
+    s = parse(text)
+    q = decode(s, allow_reserved=True)
+    assert encode(q) is s
+    # a copy of every node but Quote and SelfRef re-encodes from scratch
+    fresh = Program(q.inputs, rename_command(q.body, {}), q.output)
+    assert equal(encode(fresh), encode(p))
+    assert sexpr_print(encode(fresh)) == text

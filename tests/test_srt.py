@@ -1,12 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
 from srtlab.flowchart import decode, encode, is_tiny, run
 from srtlab.proggen import random_inputs, random_tiny_program
+from srtlab.selfint import univ_program
 from srtlab.sexpr import (
-    dag_size, equal, from_unary, parse, sexpr_print, to_unary, tree_size,
+    dag_size, equal, from_unary, measure, parse, sexpr_print, to_unary,
+    tree_size,
 )
+from srtlab.specializer import s11_program
 from srtlab.srt import (
     compose, demo_program, diag_program, kleene_fixpoint, kleene_intermediate,
     moss_fixpoint, moss_qhat, write_program,
@@ -272,6 +276,20 @@ def test_quine_size_pins():
     # frozen reference counts for the canonical quine's printed form
     enc = encode(kleene_fixpoint(demo_program("proj1")))
     assert (tree_size(enc), dag_size(enc)) == (523, 222)
+
+
+@pytest.mark.parametrize("build,digest,sizes", [
+    (univ_program, "3a2d9ce01798", (3123, 2350)),
+    (s11_program, "695e7926e508", (207, 161)),
+    (diag_program, "1f93a2f14139", (205, 162)),
+    (write_program, "e5c93eb1d68e", (95, 73)),
+])
+def test_built_programs_are_pinned(build, digest, sizes):
+    # frozen printed text and (tree, DAG) size of each hand-built program
+    enc = encode(build())
+    text = sexpr_print(enc)
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
+    assert measure(enc) == sizes
 
 
 def test_fixpoint_dag_growth_is_additive():
