@@ -134,8 +134,11 @@ def _cmd_experiment(args):
     report = fn(**kwargs)
     text = report.to_json()
     if args.json and args.json != "-":
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.json, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.json}: {exc}") from None
         failed = report.failed_claims()
         summary = "all claims pass" if not failed else f"FAILED: {failed}"
         print(f"wrote {args.json}; {summary}")
@@ -144,16 +147,17 @@ def _cmd_experiment(args):
     return 0
 
 
-def _fuel(text):
-    """The ``--fuel`` value: a positive step budget, else a usage error."""
+def _positive(text):
+    """A ``--fuel`` or ``--n-max`` value: a positive integer, else a usage
+    error."""
     try:
-        fuel = int(text)
+        value = int(text)
     except ValueError:
-        fuel = 0
-    if fuel <= 0:
+        value = 0
+    if value <= 0:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, not {text!r}")
-    return fuel
+    return value
 
 
 def _build_parser():
@@ -164,7 +168,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomised experiments")
-    common.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL,
+    common.add_argument("--fuel", type=_positive, default=DEFAULT_FUEL,
                         help="step budget for every run")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -211,7 +215,7 @@ def _build_parser():
     p.add_argument("name", choices=sorted(EXPERIMENTS))
     p.add_argument("--json", default="-", metavar="OUT",
                    help="output file ('-' for stdout)")
-    p.add_argument("--n-max", type=int, default=None,
+    p.add_argument("--n-max", type=_positive, default=None,
                    help="curve length for factorial-curve")
     p.set_defaults(fn=_cmd_experiment)
 

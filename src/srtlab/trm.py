@@ -33,9 +33,20 @@ the exact step count of running them one instruction at a time:
   * a write run of two or more appends: one step each.
 
 The table of these blocks is built once per program, keyed by start pc.
-The runner steps one instruction at a time instead when a block costs
-more than the fuel left, or when it ends past the set-up boundary, so
+A loop's summary depends only on its own instructions, so it is cached
+by them (up to 1024 shapes): every fixpoint repeats the same few toolkit
+loops, and a new program's table reuses their translate tables.  The
+runner steps one instruction at a time instead when a block costs more
+than the fuel left, or when it ends past the set-up boundary, so
 exhaustion and ``setup_steps`` stay exact.
+
+Each register is a deque of non-empty text chunks.  A summed-up loop
+reads its register with one join and appends each translation as one
+chunk; a write run appends its text as one chunk; a stepped append adds
+a one-symbol chunk.  A stepped case pops one chunk and, if it is longer
+than a symbol, pushes the rest back one symbol a chunk, so each symbol
+is split out at most once and no run goes quadratic.  No chunk is
+empty, so an empty deque is an empty register.
 
 The ``fast_assign`` variant is a cost rule on the same table: a move
 block between registers 1-8 costs one step and runs atomically.  This
@@ -133,9 +144,13 @@ class TrmProgram:
                                  _appends(instrs[k:end]), False)
             for case in re.finditer(rb"\x05\x03\x03", ops):
                 k = case.start()
-                loop = _loop_block(instrs, k)
+                h = instrs[k + 2][1] - 2
+                o = instrs[k + 1][1] - 4 - h
+                if h < 0 or o < 0 or k + 5 + h + o > len(instrs):
+                    continue
+                loop = _loop_block(instrs[k:k + 5 + h + o])
                 if loop is not None:
-                    blocks[k + 1] = loop
+                    blocks[k + 1] = (k + 6 + h + o,) + loop
             for case in re.finditer(rb"\x05\x03\x04\x04", ops):
                 k = case.start()    # trm_erase: two steps a symbol
                 if instrs[k + 1:k + 4] == ((3, 3), (4, 2), (4, 3)):
@@ -155,26 +170,27 @@ def _appends(body):
             for n in names]
 
 
-def _loop_block(instrs, k):
-    """The summary of the ``_loop`` shape whose case is instrs[k], or None:
-    (exit pc, r, fixed cost, cost per 1, cost per #, [(n, translate table)],
-    whether it is a move between registers 1-8)."""
-    r = instrs[k][1]
-    h = instrs[k + 2][1] - 2
-    o = instrs[k + 1][1] - 4 - h
-    if h < 0 or o < 0 or k + 5 + h + o > len(instrs):
-        return None
-    on_hash = instrs[k + 3:k + 3 + h]
-    on_one = instrs[k + 4 + h:k + 4 + h + o]
-    if (instrs[k + 3 + h] != (4, 3 + h) or instrs[k + 4 + h + o] != (4, 4 + h + o)
+@functools.lru_cache(maxsize=1024)
+def _loop_block(loop):
+    """The summary of ``loop``, the instructions of one ``_loop`` shape
+    whose bounds the caller has checked, or None: (r, fixed cost, cost per
+    1, cost per #, ((n, translate table), ...), whether it is a move between
+    registers 1-8)."""
+    r = loop[0][1]
+    h = loop[2][1] - 2
+    o = len(loop) - 5 - h
+    on_hash = loop[3:3 + h]
+    on_one = loop[4 + h:4 + h + o]
+    if (loop[3 + h] != (4, 3 + h) or loop[4 + h + o] != (4, 4 + h + o)
             or any(op > 2 or n == r for op, n in on_hash + on_one)):
         return None
     hashes, ones = dict(_appends(on_hash)), dict(_appends(on_one))
-    outs = [(n, str.maketrans({"1": ones.get(n, ""), "#": hashes.get(n, "")}))
-            for n in hashes.keys() | ones.keys()]
+    outs = tuple(
+        (n, str.maketrans({"1": ones.get(n, ""), "#": hashes.get(n, "")}))
+        for n in hashes.keys() | ones.keys())
     move = (h == o == 1 and on_hash[0][0] == 2 and on_one[0][0] == 1
             and on_hash[0][1] == on_one[0][1] <= 8 and r <= 8)
-    return (k + 6 + h + o, r, 2, o + 3, h + 2, outs, move)
+    return (r, 2, o + 3, h + 2, outs, move)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +403,8 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     for reg, text in zip(regs[1:], inputs):
         if _ILLEGAL.search(text):
             raise ValueError("register contents must be over {1,#}")
-        reg.extend(text)
+        if text:
+            reg.append(text)
     table = program.instrs
     length = len(table)
     never = sys.maxsize             # beyond any counter a program can reach
@@ -414,10 +431,12 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
                     if r:
                         regs[r].clear()
                         for n, trans in outs:
-                            regs[n].extend(text.translate(trans))
+                            add = text.translate(trans)
+                            if add:             # no empty chunk
+                                regs[n].append(add)
                     else:
                         for n, add in outs:
-                            regs[n].extend(add)
+                            regs[n].append(add)
                     continue
                 blocks = {}         # the fuel runs out inside this block
         if not 0 < pc <= length:
@@ -433,10 +452,15 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
             reg = regs[n]
             if not reg:
                 pc += 1
-            elif reg.popleft() == "1":
-                pc += 2
             else:
-                pc += 3
+                chunk = reg.popleft()
+                if chunk == "1":
+                    pc += 2
+                elif chunk == "#":
+                    pc += 3
+                else:   # split each symbol out once: no run goes quadratic
+                    reg.extendleft(reversed(chunk[1:]))
+                    pc += 2 if chunk[0] == "1" else 3
         elif op == 4:
             pc -= n
         elif op == 3:

@@ -145,6 +145,23 @@ def test_bad_fuel_is_a_usage_error(capsys, argv, fuel):
     assert "--fuel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3", "abc"])
+def test_bad_n_max_is_a_usage_error(capsys, n_max):
+    with pytest.raises(SystemExit) as info:
+        main(["experiment", "factorial-curve", "--n-max", n_max])
+    assert info.value.code == 2
+    assert "--n-max" in capsys.readouterr().err
+
+
+def test_unwritable_json_path_is_a_program_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "experiment", "sizes", "--json", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_demo_is_a_program_error(capsys):
     code, _, err = run_cli(capsys, "demo", "nope")
     assert code == 1 and "unknown demo" in err

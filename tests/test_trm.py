@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srtlab.trm import (
     TrmParseError, TrmProgram, _loop, setup_boundary, trm_compose,
@@ -520,6 +521,80 @@ def test_a_loop_appending_to_its_own_register_is_stepped():
     assert 1 not in blocks
     full = agree_at_every_fuel(program, ["1#1"], (None, 4), limit=300)
     assert full.status == "fuel_exhausted"
+
+
+# ---------------------------------------------------------------------------
+# registers held as text chunks: a stepped case splits a chunk it reads
+
+def probe(r, dst):
+    """A stepped case on R_r that records what it saw in R_dst: nothing
+    when empty, '1#' on a 1 and '#' on a #.  Never a summed-up block."""
+    return ins(5, r) + ins(3, 3) + ins(1, dst) + ins(2, dst)
+
+
+def test_a_stepped_case_between_two_summed_up_moves():
+    program = trm_parse(LOOPS[0] + probe(2, 3) + trm_move(2, 1).raw)
+    blocks, _ = program._summaries()
+    assert sorted(blocks) == [1, 10, 12]    # move, probe's write run, move
+    for data in ("", "1", "#", "1##1#", "#1#11#1#1##"):
+        full = agree_at_every_fuel(program, [data], (None, 8, 11))
+        assert full.status == "halted"
+        expected = {1: data[1:], 3: {"": "", "1": "1#", "#": "#"}[data[:1]]}
+        assert full.registers == {k: v for k, v in expected.items() if v}
+
+
+def test_a_stepped_case_on_a_long_input_register():
+    # pop R1 one symbol at a time, copying its 1s to R2 and dropping its #s
+    program = trm_parse(ins(5, 1) + ins(3, 3) + ins(1, 2) + ins(4, 3))
+    assert program._summaries()[0] == {}
+    rng = random.Random(113)
+    data = "".join(rng.choice("1#") for _ in range(100))
+    full = agree_at_every_fuel(program, [data, "#"], (None, 3))
+    assert full.status == "halted"
+    assert full.registers == {2: "#" + "1" * data.count("1")}
+
+
+def test_an_empty_translation_leaves_its_target_empty():
+    # LOOPS[4] appends only on #, so on an all-1 R2 it adds nothing to R3
+    program = trm_parse(LOOPS[4] + probe(3, 5))
+    for inputs in (["", "1111"], ["#", "111", ""], ["", "1#1"]):
+        full = agree_at_every_fuel(program, inputs, (None, 9))
+        assert full.status == "halted"
+        assert (5 in full.registers) == ("#" in inputs[1])
+
+
+# ---------------------------------------------------------------------------
+# property: the runner against the reference on generated programs
+
+wild_instructions = st.builds(lambda n, k: "1" * n + "#" * k,
+                              st.integers(1, 9), st.integers(1, 5))
+toolkit_blocks = st.one_of(
+    st.sampled_from(LOOPS),
+    st.lists(st.integers(1, 9), min_size=2, max_size=2, unique=True).map(
+        lambda ij: trm_move(*ij).raw),
+    st.integers(1, 3).map(lambda i: trm_erase(i).raw),
+    st.text("1#", max_size=4).map(write_code),
+)
+symbols = st.text("1#", max_size=12)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(st.one_of(toolkit_blocks, wild_instructions),
+                      min_size=1, max_size=4),
+       inputs=st.lists(symbols, max_size=3),
+       fuel=st.integers(1, 300),
+       variant=st.sampled_from(VARIANTS),
+       boundary=st.none() | st.integers(0, 40))
+def agrees_on_generated_programs(statuses, parts, inputs, fuel, variant,
+                                 boundary):
+    program = trm_parse("".join(parts))
+    statuses.add(assert_agrees(program, inputs, fuel, variant, boundary).status)
+
+
+def test_runner_matches_the_reference_on_generated_programs():
+    statuses = set()
+    agrees_on_generated_programs(statuses)
+    assert statuses == {"halted", "abnormal_halt", "fuel_exhausted"}
 
 
 # ---------------------------------------------------------------------------
