@@ -10,7 +10,10 @@ which runs the encoded program inside the same run and fuel budget.
 program) and charges each straight-line block of steps with one fuel
 check.  Native univ calls and deeply nested control run on an explicit
 stack of generators, so fuel and memory bound their depth, not the
-Python stack.
+Python stack.  A univ call on the running program's own text runs the
+running program's function: that text is never decoded, as long as
+decoding it would give the program back (one input, and no variable
+named ``*`` or ``()``).
 
 Programs have a bijective s-expression concrete syntax, so programs are
 ordinary data:
@@ -744,25 +747,33 @@ def _make(source):
 
 
 def _instance(program, reflective):
-    """The compiled function of ``program`` in one mode, made once."""
+    """The compiled function of ``program`` in one mode, made once, and
+    the program's own text if a univ call on that text may run this
+    function instead of decoding it (else None)."""
     made = program._compiled
     if made is None:
         made = program._compiled = [None, None]
-    fn = made[reflective]
-    if fn is None:
+    entry = made[reflective]
+    if entry is None:
         emitter = _Emitter(program, reflective)
         make = _make(emitter.source())
-        fn = made[reflective] = make(
-            tuple(emitter.consts), encode(program) if emitter.uses_self else None)
-    return fn
+        own = encode(program) if emitter.uses_self else None
+        # in reflective mode the emitter makes every name a local.  decode
+        # rejects * and () as names and reads an atom * in an expression
+        # as SelfRef, so with either the text is some other program or none
+        decodes = len(program.inputs) == 1 and not {"*", "()"} & emitter.locals.keys()
+        entry = made[reflective] = (make(tuple(emitter.consts), own),
+                                    own if decodes else None)
+    return entry
 
 
-def _drive(top, fuel):
+def _drive(top, fuel, programs):
     """Run a compiled program's generator and every callee it yields on
     one explicit stack, so fuel and memory bound univ nesting, not
-    Python's recursion limit.  Each distinct encoded program is decoded and
-    compiled once per run."""
-    programs = {}  # id(q_enc) -> (q_enc, compiled function)
+    Python's recursion limit.  ``programs`` maps ``id(q_enc)`` to
+    ``(q_enc, compiled function)``; ``run`` seeds it with the running
+    program's own text, and each other distinct encoded program is
+    decoded and compiled once per run."""
     stack = [top]
     reply = None
     while True:
@@ -784,7 +795,7 @@ def _drive(top, fuel):
                     raise _Fault(f"univ on a non-program: {exc}", steps) from None
                 if len(q.inputs) != 1:
                     raise _Fault("univ needs a one-input program", steps)
-                known = programs[id(q_enc)] = (q_enc, _instance(q, True))
+                known = programs[id(q_enc)] = (q_enc, _instance(q, True)[0])
             call = known[1](d, steps, fuel)
         stack.append(call)
         reply = None
@@ -796,7 +807,12 @@ def run(program, args, fuel=10**7, mode="plain"):
     Variables other than the inputs start as ``()``; ``hd``/``tl`` of an
     atom are ``()`` (all operators are total).  In reflective mode ``*``
     denotes the running program's text and ``(univ p d)`` runs the
-    encoded program ``p`` on ``d`` within the same fuel budget.
+    encoded program ``p`` on ``d`` within the same fuel budget.  A
+    univ call on ``*`` runs the program's own compiled function without
+    decoding its text, if that text decodes back to the program: it has
+    one input and no variable named ``*`` or ``()``.  Otherwise it is
+    decoded like any other text, and fails or runs just as the decoded
+    program says.
 
     Memory grows with univ nesting: each pending univ call holds one
     generator frame of about 280 bytes plus 8 per variable of the
@@ -811,9 +827,10 @@ def run(program, args, fuel=10**7, mode="plain"):
         raise ValueError("fuel must be positive")
     if mode not in ("plain", "reflective"):
         raise ValueError(f"unknown mode {mode!r}")
+    fn, own = _instance(program, mode == "reflective")
     try:
-        value, steps = _drive(
-            _instance(program, mode == "reflective")(*args, 0, fuel), fuel)
+        value, steps = _drive(fn(*args, 0, fuel), fuel,
+                              {} if own is None else {id(own): (own, fn)})
     except _Exhausted:
         return RunResult(None, fuel, RunResult.FUEL)
     except _Fault as f:

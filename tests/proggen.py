@@ -6,9 +6,9 @@ assembles one-input programs from structurally descending loop
 templates, so every generated program halts on every input.
 """
 
-from .build import QA, V, asg, atomp, cons, hd, iff, prog, seq, tl, wh
-from .flowchart import Quote
-from .sexpr import Atom, Pair
+from srtlab.build import QA, V, asg, atomp, cons, hd, iff, prog, seq, tl, wh
+from srtlab.flowchart import Quote
+from srtlab.sexpr import Atom, Pair
 
 __all__ = [
     "random_sexpr", "random_tiny_program", "random_loop_program",

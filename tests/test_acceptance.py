@@ -16,9 +16,6 @@ and fail with the measured numbers.
 import random
 
 from srtlab.flowchart import decode, encode, is_tiny, run
-from srtlab.proggen import (
-    random_inputs, random_loop_program, random_sexpr, random_tiny_program,
-)
 from srtlab.selfint import futamura, measure_overhead, univ_program
 from srtlab.sexpr import (
     Atom, Pair, dag_size, equal, from_unary, parse, sexpr_print, to_unary,
@@ -27,6 +24,10 @@ from srtlab.sexpr import (
 from srtlab.specializer import eliminate_dead_code
 from srtlab.srt import (
     demo_program, kleene_fixpoint, kleene_intermediate, moss_fixpoint,
+)
+
+from proggen import (
+    random_inputs, random_loop_program, random_sexpr, random_tiny_program,
 )
 from srtlab import trm as t
 

@@ -1,4 +1,5 @@
-"""Differential tests: ``run`` against a naive per-node reference.
+"""Differential tests: ``run`` against the naive per-node reference of
+``reference.py``.
 
 The reference charges one step per node exactly as the cost model in
 the ``flowchart`` docstring says, with no compilation and no block
@@ -13,112 +14,23 @@ import random
 import pytest
 
 from srtlab.build import (
-    QA, V, asg, atomp, cons, eq, hd, iff, prog, seq, tl, univ, wh,
+    QA, QNIL, V, asg, atomp, cons, eq, hd, iff, prog, seq, tl, univ, wh,
 )
-from srtlab.flowchart import (
-    Assign, Cons, DecodeError, Eq, Hd, IsAtom, Quote, RunResult, SelfRef,
-    Seq, Tl, UnivCall, Var, While, decode, encode, run,
-)
-from srtlab.proggen import (
+from srtlab.flowchart import Quote, RunResult, SelfRef, decode, encode, run
+from srtlab.selfint import univ_program
+from srtlab.sexpr import NIL, parse, sexpr_print, to_unary
+from srtlab.srt import DEMO_NAMES, demo_program, kleene_fixpoint
+
+from proggen import (
     random_inputs, random_loop_program, random_sexpr, random_tiny_program,
 )
-from srtlab.selfint import univ_program
-from srtlab.sexpr import NIL, ONE, Atom, Pair, equal, is_nil, parse, to_unary
-from srtlab.srt import DEMO_NAMES, demo_program, kleene_fixpoint
+from reference import _agree
 
 MODES = ("plain", "reflective")
 
 
 # ---------------------------------------------------------------------------
-# the reference evaluator
-
-class _Stop(Exception):
-    def __init__(self, status, detail=None):
-        self.status = status
-        self.detail = detail
-
-
-class Reference:
-    def __init__(self, fuel, reflective):
-        self.steps, self.fuel, self.reflective = 0, fuel, reflective
-
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.fuel:
-            self.steps = self.fuel
-            raise _Stop(RunResult.FUEL)
-
-    def program(self, p, args):
-        env = dict(zip(p.inputs, args))
-        self.command(p.body, env, p)
-        self.tick()
-        return env.get(p.output, NIL)
-
-    def command(self, c, env, p):
-        if type(c) is Assign:
-            value = self.expr(c.expr, env, p)
-            self.tick()
-            env[c.var] = value
-        elif type(c) is Seq:
-            self.command(c.first, env, p)
-            self.command(c.second, env, p)
-        elif type(c) is While:
-            while True:
-                self.tick()
-                if is_nil(self.expr(c.test, env, p)):
-                    break
-                self.command(c.body, env, p)
-        else:
-            self.tick()
-            test = self.expr(c.test, env, p)
-            self.command(c.orelse if is_nil(test) else c.then, env, p)
-
-    def expr(self, e, env, p):
-        if type(e) is SelfRef and not self.reflective:
-            raise _Stop(RunResult.ERROR, "'*' outside reflective mode")
-        if type(e) is UnivCall and not self.reflective:
-            raise _Stop(RunResult.ERROR, "'univ' call outside reflective mode")
-        fields = {Hd: ("arg",), Tl: ("arg",), IsAtom: ("arg",),
-                  Cons: ("left", "right"), Eq: ("left", "right"),
-                  UnivCall: ("prog", "arg")}.get(type(e), ())
-        args = [self.expr(getattr(e, f), env, p) for f in fields]
-        self.tick()
-        if type(e) is Var:
-            return env.get(e.name, NIL)
-        if type(e) is Quote:
-            return e.value
-        if type(e) is SelfRef:
-            return encode(p)
-        if type(e) in (Hd, Tl):
-            v = args[0]
-            return NIL if type(v) is not Pair else v.head if type(e) is Hd else v.tail
-        if type(e) is Cons:
-            return Pair(*args)
-        if type(e) is Eq:
-            return ONE if equal(*args) else NIL
-        if type(e) is IsAtom:
-            return ONE if type(args[0]) is Atom else NIL
-        try:
-            q = decode(args[0], allow_reserved=True)
-        except DecodeError as exc:
-            raise _Stop(RunResult.ERROR, f"univ on a non-program: {exc}") from None
-        if len(q.inputs) != 1:
-            raise _Stop(RunResult.ERROR, "univ needs a one-input program")
-        return self.program(q, [args[1]])
-
-
-def _agree(p, args, fuel, mode):
-    ref = Reference(fuel, mode == "reflective")
-    try:
-        value = ref.program(p, args)
-        want = (RunResult.HALTED, ref.steps, None)
-    except _Stop as stop:
-        value, want = None, (stop.status, ref.steps, stop.detail)
-    got = run(p, args, fuel, mode)
-    assert (got.status, got.steps, got.detail) == want, (mode, fuel)
-    assert (value is None and got.value is None) or equal(got.value, value)
-    return got
-
+# fuel sweeps
 
 def check_every_fuel(p, args, mode, fuel=10**5):
     """Agree at ``fuel``, then at every fuel up to the steps it took + 1."""
@@ -255,3 +167,90 @@ def test_faults_agree_at_every_fuel(text, args, status, mode):
         assert got.status == RunResult.ERROR
     elif status is not None:
         assert got.status == status
+
+
+# ---------------------------------------------------------------------------
+# univ on the running program's own text
+
+def _countdown():
+    return prog(("d",), iff(V("d"),
+                            asg("out", cons(QA("1"), univ(SelfRef(), tl(V("d"))))),
+                            asg("out", QNIL())), "out")
+
+
+def _factorial():
+    """Unary n!: n times the factorial of n - 1, through univ on ``*``."""
+    return prog(("d",), iff(
+        V("d"),
+        seq(asg("r", univ(SelfRef(), tl(V("d")))),
+            asg("i", V("d")),
+            wh(V("i"),
+               asg("j", V("r")),
+               wh(V("j"), asg("out", cons(QA("1"), V("out"))),
+                  asg("j", tl(V("j")))),
+               asg("i", tl(V("i"))))),
+        asg("out", cons(QA("1"), QNIL()))), "out")
+
+
+def _fixpoint_factorial():
+    return kleene_fixpoint(demo_program("factorial_reflective"))
+
+
+@pytest.mark.parametrize("build", [_countdown, _factorial, _fixpoint_factorial])
+@pytest.mark.parametrize("source", ["parsed", "built"])
+def test_self_recursion_agrees(build, source):
+    p = build()
+    if source == "parsed":  # its own text is a parsed value, not encode's
+        p = decode(parse(sexpr_print(encode(p))), allow_reserved=True)
+    for n in range(4):
+        check_some_fuels(p, [to_unary(n)], "reflective")
+
+
+def _with_name(name):
+    """Countdown that also assigns ``name``, read on the way down."""
+    return prog(("d",), iff(V("d"),
+                            seq(asg(name, tl(V("d"))),
+                                asg("out", cons(QA("1"), univ(SelfRef(), V(name))))),
+                            asg("out", QNIL())), "out")
+
+
+# programs whose text does not decode back to them: ``univ *`` must decode
+# that text and end as it says, not run the caller again
+@pytest.mark.parametrize("p, status, steps, detail", [
+    (prog(("d",), seq(asg("*", QA("a")),
+                      asg("out", univ(SelfRef(), tl(V("d"))))), "out"),
+     RunResult.ERROR, 6,
+     "univ on a non-program: '*' is not a legal assigned variable: *"),
+    (prog(("d",), seq(asg("()", QA("a")),
+                      asg("out", univ(SelfRef(), tl(V("d"))))), "out"),
+     RunResult.ERROR, 6,
+     "univ on a non-program: assigned variable must be a non-() atom: ()"),
+    (_with_name("*"), RunResult.ERROR, 9,
+     "univ on a non-program: '*' is not a legal assigned variable: *"),
+    (_with_name("()"), RunResult.ERROR, 9,
+     "univ on a non-program: assigned variable must be a non-() atom: ()"),
+    # decoded, the read of the variable * becomes a read of the text
+    (prog(("d",), iff(V("d"),
+                      asg("out", cons(V("*"), univ(SelfRef(), tl(V("d"))))),
+                      asg("out", QNIL())), "out"),
+     RunResult.HALTED, 25, None),
+    (prog(("d",), iff(V("d"),
+                      asg("out", cons(V("()"), univ(SelfRef(), tl(V("d"))))),
+                      asg("out", QNIL())), "out"),
+     RunResult.ERROR, 7,
+     "univ on a non-program: variable must be a non-() atom: ()"),
+    (prog(("*",), asg("out", univ(SelfRef(), tl(V("*")))), "out"),
+     RunResult.ERROR, 4,
+     "univ on a non-program: '*' is not a legal input variable: *"),
+    (prog(("d",), asg("()", univ(SelfRef(), tl(V("d")))), "()"),
+     RunResult.ERROR, 4,
+     "univ on a non-program: assigned variable must be a non-() atom: ()"),
+    (prog(("q", "d"), asg("out", univ(SelfRef(), tl(V("d")))), "out"),
+     RunResult.ERROR, 4, "univ needs a one-input program"),
+])
+def test_univ_on_own_text_that_decodes_otherwise(p, status, steps, detail):
+    d = parse("(1 1)")
+    args = [d] if len(p.inputs) == 1 else [NIL, d]
+    check_every_fuel(p, args, "reflective")
+    got = run(p, args, 10**5, "reflective")
+    assert (got.status, got.steps, got.detail) == (status, steps, detail)

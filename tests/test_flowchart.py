@@ -8,10 +8,11 @@ from srtlab.flowchart import (
     Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, is_tiny,
     rename_command, run,
 )
-from srtlab.proggen import random_inputs, random_tiny_program
 from srtlab.sexpr import equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code
 from srtlab.srt import kleene_fixpoint, moss_fixpoint
+
+from proggen import random_inputs, random_tiny_program
 
 FUEL = 10**6
 

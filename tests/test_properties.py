@@ -1,6 +1,7 @@
 """Property tests: the s-expression codec round-trips on generated values
-and on generated canonical texts, and the program codec on generated
-programs of every node kind."""
+and on generated canonical texts, the program codec on generated
+programs of every node kind, and ``run`` agrees with the reference
+evaluator on generated reflective programs."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,8 @@ from srtlab.flowchart import (
     UnivCall, Var, While, decode, encode, rename_command,
 )
 from srtlab.sexpr import Atom, Pair, equal, parse, sexpr_print, tree_size
+
+from reference import _agree
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -78,3 +81,51 @@ def test_decode_inverts_encode(p):
     fresh = Program(q.inputs, rename_command(q.body, {}), q.output)
     assert equal(encode(fresh), encode(p))
     assert sexpr_print(encode(fresh)) == text
+
+
+# callees for univ: one-input programs (one recursing through *), a
+# two-input program and garbage
+CALLEES = [parse(text) for text in (
+    "((x) (:= out (cons x x)) out)",
+    "((d) (if d (:= out (univ * (tl d))) (:= out d)) out)",
+    "((x y) (:= out x) out)",
+    "(not a program)")]
+
+# a program's variable names are slots, filled from three drawn names and
+# then *: decode rejects * as a variable and reads an atom * in an
+# expression as SelfRef, so a program using it is not its text's decoding
+slots = st.integers(0, 3)
+run_expressions = st.recursive(
+    slots.map(Var) | st.builds(SelfRef) | atoms.map(Quote)
+    | st.sampled_from(CALLEES).map(Quote),
+    lambda inner: st.one_of(
+        *(st.builds(op, inner) for op in (Hd, Tl, IsAtom)),
+        *(st.builds(op, inner, inner) for op in (Cons, Eq, UnivCall)),
+        st.builds(UnivCall, st.builds(SelfRef), inner)),
+    max_leaves=6)
+run_commands = st.recursive(
+    st.builds(Assign, slots, run_expressions),
+    lambda inner: st.one_of(st.builds(Seq, inner, inner),
+                            st.builds(While, run_expressions, inner),
+                            st.builds(If, run_expressions, inner, inner)),
+    max_leaves=5)
+
+
+def _filled(pool, arity, body, output, args):
+    """The program with inputs ``pool[:arity]``, its slots filled."""
+    fill = dict(enumerate([*pool, "*"]))
+    return (Program(pool[:arity], rename_command(body, fill), fill[output]),
+            args[:arity])
+
+
+runs = st.builds(_filled, st.lists(names, min_size=3, max_size=3, unique=True),
+                 st.integers(1, 2), run_commands, slots,
+                 st.lists(values, min_size=2, max_size=2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(runs, st.sampled_from(("plain", "reflective")), st.integers(1, 60))
+def test_run_agrees_with_reference(case, mode, fuel):
+    # fuels this small let runs halt, run out of fuel and fault alike
+    program, args = case
+    _agree(program, args, fuel, mode)

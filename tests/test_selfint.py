@@ -4,12 +4,13 @@ import pytest
 
 from srtlab.build import QA, QNIL, V, asg, cons, prog, seq, tl, wh
 from srtlab.flowchart import decode, encode, run
-from srtlab.proggen import random_inputs, random_loop_program
 from srtlab.selfint import (
     futamura, interpreter_wrapped, measure_overhead, univ_program,
     wrap_nullary,
 )
 from srtlab.sexpr import equal, from_unary, parse, sexpr_print, to_unary
+
+from proggen import random_inputs, random_loop_program
 
 FUEL = 10**7
 

@@ -7,7 +7,8 @@ from srtlab.sexpr import (
     NIL, Atom, Pair, ParseError, dag_size, equal, from_unary, is_nil,
     measure, parse, sexpr_print, to_unary, tree_size,
 )
-from srtlab.proggen import random_sexpr
+
+from proggen import random_sexpr
 
 
 def test_parse_empty_list_is_the_nil_atom():

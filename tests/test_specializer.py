@@ -3,10 +3,11 @@ import random
 import pytest
 
 from srtlab.flowchart import decode, encode, is_tiny, run
-from srtlab.proggen import random_inputs, random_tiny_program
 from srtlab.sexpr import dag_size, equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code, s11_program, specialize
 from srtlab.srt import demo_program, kleene_fixpoint
+
+from proggen import random_inputs, random_tiny_program
 
 FUEL = 10**6
 

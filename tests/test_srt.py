@@ -4,7 +4,6 @@ import random
 import pytest
 
 from srtlab.flowchart import decode, encode, is_tiny, run
-from srtlab.proggen import random_inputs, random_tiny_program
 from srtlab.selfint import univ_program
 from srtlab.sexpr import (
     dag_size, equal, from_unary, measure, parse, sexpr_print, to_unary,
@@ -15,6 +14,8 @@ from srtlab.srt import (
     compose, demo_program, diag_program, kleene_fixpoint, kleene_intermediate,
     moss_fixpoint, moss_qhat, write_program,
 )
+
+from proggen import random_inputs, random_tiny_program
 
 FUEL = 10**6
 
