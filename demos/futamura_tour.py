@@ -33,10 +33,9 @@ print("cogen(interpreter) == compiler (structurally):",
       equal(made2.value, encode(compiler)))
 
 print("\ninterpretation overhead of U (steps interpreted / steps direct):")
-report = measure_overhead(decode(parse("((x) (:= out x) out)")),
-                          [to_unary(n) for n in (1, 50, 5000)],
-                          FUEL, "identity")
-for size, direct, interp, ratio in report.rows:
+rows, verdict = measure_overhead(decode(parse("((x) (:= out x) out)")),
+                                 [to_unary(n) for n in (1, 50, 5000)], FUEL)
+for size, direct, interp, ratio in rows:
     print(f"  input tree size {size:6d}: {direct:6d} vs {interp:8d}"
           f"  ratio {ratio:6.1f}")
-print("verdict:", report.verdict)
+print("verdict:", verdict)

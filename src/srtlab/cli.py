@@ -97,8 +97,9 @@ def _cmd_specialize(args):
 def _cmd_fixpoint(args):
     if args.lang == "flow":
         program = _load_flow(args.prog)
-        fix = kleene_fixpoint if args.method == "kleene" else moss_fixpoint
-        print(sexpr_print(encode(fix(program))))
+        fixed = (kleene_fixpoint(program) if args.method == "kleene"
+                 else moss_fixpoint(program, args.fuel))
+        print(sexpr_print(encode(fixed)))
         return 0
     program = _load_trm(args.prog)
     fix = (t.trm_kleene_fixpoint if args.method == "kleene"
@@ -227,10 +228,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (CliError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

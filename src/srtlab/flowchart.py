@@ -75,118 +75,72 @@ class Program:
 
 
 class _Node:
+    """An AST node.  Each kind's ``__slots__`` is its only field list:
+    ``Kind(value, ...)`` takes one value per field, in slot order, and
+    ``_enc`` caches the node's encoding."""
+
     __slots__ = ("_enc",)
+
+    def __init__(self, *values):
+        fields = type(self).__slots__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} "
+                            f"fields, got {len(values)}")
+        self._enc = None
+        for field, value in zip(fields, values):
+            setattr(self, field, value)
 
 
 class Assign(_Node):
     __slots__ = ("var", "expr")
 
-    def __init__(self, var, expr):
-        self._enc = None
-        self.var = var
-        self.expr = expr
-
 
 class Seq(_Node):
     __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        self._enc = None
-        self.first = first
-        self.second = second
 
 
 class While(_Node):
     __slots__ = ("test", "body")
 
-    def __init__(self, test, body):
-        self._enc = None
-        self.test = test
-        self.body = body
-
 
 class If(_Node):
     __slots__ = ("test", "then", "orelse")
-
-    def __init__(self, test, then, orelse):
-        self._enc = None
-        self.test = test
-        self.then = then
-        self.orelse = orelse
 
 
 class Var(_Node):
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        self._enc = None
-        self.name = name
-
 
 class Quote(_Node):
     __slots__ = ("value",)
-
-    def __init__(self, value):
-        self._enc = None
-        self.value = value
 
 
 class Hd(_Node):
     __slots__ = ("arg",)
 
-    def __init__(self, arg):
-        self._enc = None
-        self.arg = arg
-
 
 class Tl(_Node):
     __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self._enc = None
-        self.arg = arg
 
 
 class Cons(_Node):
     __slots__ = ("left", "right")
 
-    def __init__(self, left, right):
-        self._enc = None
-        self.left = left
-        self.right = right
-
 
 class Eq(_Node):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self._enc = None
-        self.left = left
-        self.right = right
 
 
 class IsAtom(_Node):
     __slots__ = ("arg",)
 
-    def __init__(self, arg):
-        self._enc = None
-        self.arg = arg
-
 
 class SelfRef(_Node):
     __slots__ = ()
 
-    def __init__(self):
-        self._enc = None
-
 
 class UnivCall(_Node):
     __slots__ = ("prog", "arg")
-
-    def __init__(self, prog, arg):
-        self._enc = None
-        self.prog = prog
-        self.arg = arg
 
 
 _CMD, _EXPR, _NAME, _DATUM = "command", "expression", "name", "datum"
@@ -595,6 +549,8 @@ class _Emitter:
                 if value != target:
                     self.lines.append(f"{ind}{target} = {value}")
                 self.pending += 1
+            elif cls is not While and cls is not If:  # not a command
+                raise TypeError(f"cannot compile {cmd!r}")
             elif depth >= _MAX_NEST:
                 self._outline(cmd, ind)
             elif cls is While:
@@ -619,7 +575,7 @@ class _Emitter:
                 lines.append(f"{inner}if not ({test}): break")
                 todo.append((_END, again, inner, depth))
                 todo.append((cmd.body, None, inner, depth + 1))
-            elif cls is If:
+            else:  # If
                 inner = ind + "    "
                 self.pending += 1  # the test event
                 test = self._expr(cmd.test, ind, _TEST)
@@ -629,8 +585,6 @@ class _Emitter:
                          (_ELSE, self.pending, ind, depth),
                          (_END, None, inner, depth),
                          (cmd.then, None, inner, depth + 1)]
-            else:
-                raise TypeError(f"cannot compile {cmd!r}")
 
     def _outline(self, cmd, ind):
         """Call ``cmd`` as a function of its own, through ``_drive``."""
@@ -692,8 +646,10 @@ class _Emitter:
                     right_slot = slot if self._leaf(left) else slot + 1
                     todo.append((right, right_slot, False))
                     todo.append((left, slot, False))
-                else:
+                elif cls is Hd or cls is Tl or cls is IsAtom:
                     todo.append((expr.arg, slot, False))
+                else:  # not an expression
+                    raise TypeError(f"cannot compile {expr!r}")
             else:
                 self.pending += 1
                 b = values.pop() if cls is Cons or cls is Eq or cls is UnivCall \
@@ -718,11 +674,9 @@ class _Emitter:
                         f"{ind}{t} = {a}.{field} if type({a}) is Pair else NIL")
                 elif cls is Cons:
                     lines.append(f"{ind}{t} = Pair({a}, {b})")
-                elif cls is UnivCall:
+                else:  # UnivCall
                     self._check(ind)
                     lines.append(f"{ind}{t}, s = yield {a}, {b}, s")
-                else:
-                    raise TypeError(f"cannot compile {expr!r}")
                 values.append(t)
         value = values.pop()
         if dest is _TEST:
@@ -813,6 +767,10 @@ def run(program, args, fuel=10**7, mode="plain"):
     one input and no variable named ``*`` or ``()``.  Otherwise it is
     decoded like any other text, and fails or runs just as the decoded
     program says.
+
+    A directly built AST with a command where an expression belongs, or
+    an expression where a command belongs, raises ``TypeError("cannot
+    compile ...")`` before any step runs; no decoded program has one.
 
     Memory grows with univ nesting: each pending univ call holds one
     generator frame of about 280 bytes plus 8 per variable of the

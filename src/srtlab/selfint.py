@@ -27,7 +27,7 @@ from .specializer import s11_program
 
 __all__ = [
     "univ_program", "wrap_nullary", "interpreter_wrapped",
-    "OverheadReport", "measure_overhead", "futamura",
+    "measure_overhead", "futamura",
 ]
 
 
@@ -256,28 +256,18 @@ def interpreter_wrapped(program):
 # ---------------------------------------------------------------------------
 # interpretation overhead
 
-class OverheadReport:
-    """Per-input direct vs interpreted step counts for one program."""
-
-    __slots__ = ("label", "rows", "verdict", "partial")
-
-    def __init__(self, label, rows, verdict, partial):
-        self.label = label
-        self.rows = rows            # (input tree size, time_p, time_univ, ratio)
-        self.verdict = verdict
-        self.partial = partial
-
-    def __repr__(self):
-        return f"<overhead {self.label}: {self.verdict}>"
-
-
 #: Ratio drift allowed while still calling the overhead program-dependent
 #: (constant per program, independent of the input).
 CLASS2_DRIFT = 1.2
 
 
-def measure_overhead(program, inputs, fuel=10**7, label="program"):
-    """Run directly and through U on each input; compare step counts."""
+def measure_overhead(program, inputs, fuel=10**7):
+    """Run directly and through U on each input; compare step counts.
+
+    Returns ``(rows, verdict)``: one row ``(input tree size, time_p,
+    time_univ, ratio)`` per input on which both runs halt, and a verdict
+    that starts with ``"partial"`` iff some run did not halt.
+    """
     if len(program.inputs) != 1:
         raise ValueError("overhead measurement takes one-input programs")
     u = univ_program()
@@ -301,7 +291,7 @@ def measure_overhead(program, inputs, fuel=10**7, label="program"):
         stable = max(ratios) / min(ratios) <= CLASS2_DRIFT
         verdict = ("program-dependent (class 2) consistent" if stable
                    else "ratio drifts with input size")
-    return OverheadReport(label, rows, verdict, partial)
+    return rows, verdict
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,6 @@ class SExpr:
             return NotImplemented
         return equal(self, other)
 
-    def __ne__(self, other):
-        if not isinstance(other, SExpr):
-            return NotImplemented
-        return not equal(self, other)
-
     __hash__ = None  # structural equality; keep these out of sets/dicts
 
     def __repr__(self):

@@ -1,9 +1,11 @@
-"""A naive per-node reference evaluator for flowchart programs.
+"""Naive references that the tests check srtlab against.
 
-It charges one step per node exactly as the cost model in the
+``Reference`` is a per-node evaluator for flowchart programs.  It
+charges one step per node exactly as the cost model in the
 ``flowchart`` docstring says, with no compilation and no block
 charging; ``_agree`` runs a program both ways and asserts that status,
-steps, value and fault detail are the same.
+steps, value and fault detail are the same.  ``ref_measure`` is the
+tree and DAG size of a value by memoised recursion.
 """
 
 from srtlab.flowchart import (
@@ -99,3 +101,17 @@ def _agree(p, args, fuel, mode):
     assert (got.status, got.steps, got.detail) == want, (mode, fuel)
     assert (value is None and got.value is None) or equal(got.value, value)
     return got
+
+
+def ref_measure(s):
+    """``(tree size, DAG size)`` of ``s``: the DAG size counts distinct
+    nodes by identity."""
+    trees = {}
+
+    def tree(node):
+        if id(node) not in trees:
+            trees[id(node)] = 1 if type(node) is Atom else (
+                1 + tree(node.head) + tree(node.tail))
+        return trees[id(node)]
+
+    return tree(s), len(trees)

@@ -181,11 +181,10 @@ def test_criterion_06_universal_program():
     for label, program in [("identity", dec("((x) (:= out x) out)")),
                            ("length", _length_program()),
                            ("reverse", _reverse_program())]:
-        rep = measure_overhead(program,
-                               [to_unary(n) for n in (1, 50, 5000)],
-                               DEFAULT_FUEL, label)
-        assert not rep.partial
-        ratios = [row[3] for row in rep.rows]
+        rows, verdict = measure_overhead(
+            program, [to_unary(n) for n in (1, 50, 5000)], DEFAULT_FUEL)
+        assert not verdict.startswith("partial")
+        ratios = [row[3] for row in rows]
         drift = max(ratios) / min(ratios)
         assert drift <= 1.2, f"{label}: overhead drift {drift:.3f}"
         drifts.append(round(drift, 3))

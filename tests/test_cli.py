@@ -8,7 +8,7 @@ import pytest
 from srtlab.cli import main
 from srtlab.flowchart import decode, encode
 from srtlab.sexpr import parse, sexpr_print
-from srtlab.srt import demo_program
+from srtlab.srt import demo_program, moss_fixpoint
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -87,6 +87,16 @@ def test_trm_lane(capsys, tmp_path):
     code, out2, _ = run_cli(capsys, "run", str(quine), "1#1", "--lang", "trm")
     assert code == 0
     assert out2.strip() == out.strip()
+
+
+def test_flow_moss_fixpoint_honours_fuel(capsys, proj1_file):
+    code, out, err = run_cli(capsys, "fixpoint", proj1_file, "--method",
+                             "moss", "--fuel", "5")
+    assert code == 1 and out == ""
+    assert err == "error: generator run failed: fuel_exhausted\n"
+    code, out, _ = run_cli(capsys, "fixpoint", proj1_file, "--method", "moss")
+    assert code == 0
+    assert out == sexpr_print(encode(moss_fixpoint(demo_program("proj1")))) + "\n"
 
 
 def test_fast_assign_flag(capsys, tmp_path):

@@ -251,6 +251,27 @@ def test_arity_mismatch_rejected():
         run(dec("((q d) (:= out q) out)"), [parse("a")], 100)
 
 
+def _deep_expression_body():
+    body = V("d")  # an expression as a command, past the outlining depth
+    for _ in range(20):
+        body = wh(V("d"), body)
+    return body
+
+
+@pytest.mark.parametrize("body", [
+    lambda: Assign("x", Assign("y", V("d"))),
+    lambda: asg("x", Hd(seq(asg("y", V("d")), asg("z", V("d"))))),
+    lambda: V("d"),
+    _deep_expression_body,
+], ids=["command-as-operand", "command-under-hd", "expression-as-body",
+        "deep-expression-as-body"])
+@pytest.mark.parametrize("mode", ["plain", "reflective"])
+def test_misplaced_node_is_rejected_before_running(body, mode):
+    p = prog(("d",), body(), "x")
+    with pytest.raises(TypeError, match="^cannot compile "):
+        run(p, [parse("a")], 100, mode)
+
+
 def test_run_handles_any_control_nesting():
     # 10^4 nested whiles and ifs: past CPython's limits of 20 nested
     # loops and 100 indentation levels in one function

@@ -9,6 +9,7 @@ from srtlab.sexpr import (
 )
 
 from proggen import random_sexpr
+from reference import ref_measure
 
 
 def test_parse_empty_list_is_the_nil_atom():
@@ -122,6 +123,23 @@ def test_equal_is_an_equivalence():
             for c in values:
                 if equal(a, b) and equal(b, c):
                     assert equal(a, c)
+
+
+def test_eq_and_ne_operators_agree_with_equal():
+    a = Atom("a")
+    shared = Pair(a, a)
+    cases = [(a, a), (a, Atom("a")), (a, Atom("b")), (NIL, Atom("()")),
+             (shared, shared), (shared, Pair(Atom("a"), Atom("a"))),
+             (shared, Pair(a, Atom("b"))), (Pair(shared, NIL), Pair(shared, a)),
+             (a, shared)]
+    for x, y in cases:
+        assert (x == y) is equal(x, y) and (y == x) is equal(x, y)
+        assert (x != y) is (not equal(x, y)) and (y != x) is (not equal(x, y))
+    for other in ("a", None, 0, ("a",)):
+        assert a.__eq__(other) is NotImplemented
+        assert a.__ne__(other) is NotImplemented
+        assert not (a == other) and not (other == shared)
+        assert a != other and other != shared
 
 
 def test_atoms_differ_by_name():
@@ -290,18 +308,6 @@ def ref_print(s):
         s = s.tail
     dotted = "" if s.name == "()" else " . " + s.name
     return "(" + " ".join(items) + dotted + ")"
-
-
-def ref_measure(s):
-    trees = {}
-
-    def tree(node):
-        if id(node) not in trees:
-            trees[id(node)] = 1 if type(node) is Atom else (
-                1 + tree(node.head) + tree(node.tail))
-        return trees[id(node)]
-
-    return tree(s), len(trees)
 
 
 def random_dag(rng, steps):

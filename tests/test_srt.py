@@ -16,6 +16,7 @@ from srtlab.srt import (
 )
 
 from proggen import random_inputs, random_tiny_program
+from reference import ref_measure
 
 FUEL = 10**6
 
@@ -239,38 +240,13 @@ def test_unknown_demo_name():
 # --------------------------------------------------------------------------
 # sharing
 
-def _reference_tree_size(s, depth=0):
-    # independent oracle: plain recursive count, no memoisation
-    assert depth < 200
-    if not hasattr(s, "head"):
-        return 1
-    return (1 + _reference_tree_size(s.head, depth + 1)
-            + _reference_tree_size(s.tail, depth + 1))
-
-
-def _reference_dag_size(s):
-    seen = set()
-
-    def go(node):
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if hasattr(node, "head"):
-            go(node.head)
-            go(node.tail)
-
-    go(s)
-    return len(seen)
-
-
 @pytest.mark.parametrize("method,fix", BOTH)
 def test_printed_fixpoints_are_dags_not_trees(method, fix):
     for name in ("proj1", "self_recognizer"):
         enc = encode(fix(demo_program(name)))
         ts, ds = tree_size(enc), dag_size(enc)
         assert ts > ds
-        assert ts == _reference_tree_size(enc)
-        assert ds == _reference_dag_size(enc)
+        assert (ts, ds) == ref_measure(enc)
 
 
 def test_quine_size_pins():
