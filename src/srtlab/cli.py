@@ -7,6 +7,7 @@ error, 2 usage error.
 """
 
 import argparse
+import os
 import sys
 
 from .flowchart import DecodeError, decode, encode, run
@@ -227,7 +228,12 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -263,17 +263,7 @@ def _decode_body(s, allow_reserved):
             raise DecodeError(f"unknown {category} tag", s)
         else:
             cls, what, arity, fields = _TAGGED[category][s.head.name]
-            # _expect_list, inlined: the reflective workload decodes each
-            # program from fresh text (5.01M nodes/s inlined, 4.89M not)
-            items = []
-            rest = s
-            while type(rest) is Pair:
-                items.append(rest.head)
-                rest = rest.tail
-            if rest.name != "()":
-                raise DecodeError(f"improper list in {what}", s)
-            if len(items) != arity:
-                raise DecodeError(f"wrong arity for {what}", s)
+            items = _expect_list(s, arity, what)
             node = new(cls)
             for i, field, kind in fields:
                 if kind is _NAME:
@@ -331,12 +321,17 @@ def encode(node):
 
 def _nodes(root):
     """Every AST node under ``root``, itself included.  A node's children
-    are read after it is yielded, so the caller may replace them."""
+    are read after it is yielded, so the caller may replace them.  A
+    value that is no node raises ``TypeError``, as it does in ``run``."""
     todo = [root]
     while todo:
         node = todo.pop()
+        try:
+            children = _CHILDREN[type(node)]
+        except KeyError:
+            raise TypeError(f"cannot compile {node!r}") from None
         yield node
-        for field in _CHILDREN[type(node)]:
+        for field in children:
             todo.append(getattr(node, field))
 
 
@@ -372,11 +367,12 @@ def rename_command(cmd, mapping):
 def _renamed(node, mapping):
     """Copy of ``node`` with its names renamed and the same children."""
     cls = type(node)
-    if cls is Quote or cls is SelfRef:
-        return node
+    row = _ROWS.get(cls)
+    if cls is Quote or cls is SelfRef or row is None:
+        return node  # a value that is no node is left to _nodes to reject
     copy = object.__new__(cls)
     copy._enc = None
-    for field, kind in _ROWS[cls][3]:
+    for field, kind in row[3]:
         value = getattr(node, field)
         setattr(copy, field, mapping.get(value, value) if kind is _NAME else value)
     return copy
@@ -441,11 +437,12 @@ _GLOBALS = {"Atom": Atom, "Pair": Pair, "NIL": NIL, "ONE": ONE,
             "equal": equal, "EX": _Exhausted, "fault": _fault}
 #: Control nesting at which a while or if moves to a function of its
 #: own: CPython compiles at most 20 nested loops and 100 indent levels.
+#: A while takes two levels (``if``, ``while True``): 2 * 16 + 2 at most.
 _MAX_NEST = 16
 #: ``_Emitter._expr`` destination of a value that is only branched on.
 _TEST = object()
 #: ``_Emitter._command`` work items other than commands.
-_ELSE, _END = "else", "end"
+_ELSE, _END, _AGAIN = "else", "end", "again"
 _CHARGE = "{0}s += {1}\n{0}if s > F: raise EX"
 
 
@@ -459,9 +456,11 @@ class _Emitter:
     expressions become three-address code on temporaries ``t<i>``.
     Code without a fault or a loop has a static cost, so its steps
     gather in ``pending`` and reach ``s`` in one addition per branch.
-    Every fault, univ call, loop iteration and the final read checks
-    ``s`` against ``F`` first, so a fault reports its exact step count
-    and an exhausted run reports ``steps == fuel``.
+    Every fault, univ call, loop test and the final read checks ``s``
+    against ``F`` first, so a fault reports its exact step count and an
+    exhausted run reports ``steps == fuel``.  A ``while`` is the inverted
+    loop ``if test: while True: body; if not (test): break``, each copy
+    of its test charged and checked with the steps before it.
 
     ``P`` yields ``(q_enc, d, s)`` for each univ call and the generator
     of each command outlined past control depth ``_MAX_NEST``; ``_drive``
@@ -475,7 +474,6 @@ class _Emitter:
         self.consts = []      # quoted values, C[i] in the source
         self.lines = []
         self.pending = 0      # steps emitted but not yet added to s
-        self.checks = 0       # checks and faults emitted so far
         self.uses_self = False
         self.outlined = []    # (function name, command)
         self.all_locals = None
@@ -512,11 +510,9 @@ class _Emitter:
     def _check(self, ind):
         self.lines.append(_CHARGE.format(ind, self.pending))
         self.pending = 0
-        self.checks += 1
 
     def _fail(self, ind, detail):
         self.lines.append(f"{ind}fault(s + {self.pending}, F, {detail!r})")
-        self.checks += 1
 
     def _flush(self, ind):
         if self.pending:
@@ -532,14 +528,10 @@ class _Emitter:
             if cmd is _ELSE:  # the else branch starts with the test's steps
                 self.lines.append(f"{ind}else:")
                 self.pending = arg
-            elif cmd is _END:
-                # of a branch, or of a loop body: then ``arg`` is the
-                # steps of the loop's next test, if that cannot fault
-                if arg is None:
-                    self._flush(ind)
-                else:
-                    self.pending += arg
-                    self._check(ind)
+            elif cmd is _END:  # of an if branch
+                self._flush(ind)
+            elif cmd is _AGAIN:  # of a loop body: the loop's next test
+                self.lines.append(f"{ind}if not ({self._test(arg, ind)}): break")
             elif cls is Seq:
                 todo.append((cmd.second, None, ind, depth))
                 todo.append((cmd.first, None, ind, depth))
@@ -554,27 +546,11 @@ class _Emitter:
             elif depth >= _MAX_NEST:
                 self._outline(cmd, ind)
             elif cls is While:
-                inner = ind + "    "
-                lines, before, checks = self.lines, self.pending, self.checks
-                self.lines, self.pending = [], 1  # 1: the test event
-                test = self._expr(cmd.test, inner, _TEST)
-                test_lines, self.lines = self.lines, lines
-                if self.checks == checks:
-                    # a test that cannot fault is charged ahead of it:
-                    # before the loop, then at the end of the body
-                    again = self.pending
-                    self.pending += before
-                    self._check(ind)
-                else:
-                    again = None
-                    if before:
-                        lines.append(f"{ind}s += {before}")
-                lines.append(f"{ind}while True:")
-                lines += test_lines
-                self._flush(inner)
-                lines.append(f"{inner}if not ({test}): break")
-                todo.append((_END, again, inner, depth))
-                todo.append((cmd.body, None, inner, depth + 1))
+                inner, body = ind + "    ", ind + " " * 8
+                test = self._test(cmd.test, ind)
+                self.lines += [f"{ind}if {test}:", f"{inner}while True:"]
+                todo.append((_AGAIN, cmd.test, body, depth))
+                todo.append((cmd.body, None, body, depth + 1))
             else:  # If
                 inner = ind + "    "
                 self.pending += 1  # the test event
@@ -585,6 +561,13 @@ class _Emitter:
                          (_ELSE, self.pending, ind, depth),
                          (_END, None, inner, depth),
                          (cmd.then, None, inner, depth + 1)]
+
+    def _test(self, test, ind):
+        """Emit a loop test, charge and check it, return its condition."""
+        self.pending += 1  # the test event
+        test = self._expr(test, ind, _TEST)
+        self._check(ind)
+        return test
 
     def _outline(self, cmd, ind):
         """Call ``cmd`` as a function of its own, through ``_drive``."""
@@ -599,12 +582,6 @@ class _Emitter:
         self.lines.append(
             f"{ind}{names}, s = yield {name}({names}, s + {self.pending}, F)")
         self.pending = 0
-
-    def _leaf(self, expr):
-        """True if ``expr``'s operand is no temporary."""
-        cls = type(expr)
-        return cls is Var or cls is Quote or cls is SelfRef or (
-            cls is UnivCall and not self.reflective)
 
     def _const(self, value):
         self.consts.append(value)
@@ -643,8 +620,7 @@ class _Emitter:
                 if cls is Cons or cls is Eq or cls is UnivCall:
                     left, right = (expr.prog, expr.arg) if cls is UnivCall \
                         else (expr.left, expr.right)
-                    right_slot = slot if self._leaf(left) else slot + 1
-                    todo.append((right, right_slot, False))
+                    todo.append((right, slot + 1, False))
                     todo.append((left, slot, False))
                 elif cls is Hd or cls is Tl or cls is IsAtom:
                     todo.append((expr.arg, slot, False))

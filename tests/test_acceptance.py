@@ -15,7 +15,7 @@ and fail with the measured numbers.
 
 import random
 
-from srtlab.flowchart import decode, encode, is_tiny, run
+from srtlab.flowchart import encode, is_tiny, run
 from srtlab.selfint import futamura, measure_overhead, univ_program
 from srtlab.sexpr import (
     Atom, Pair, dag_size, equal, from_unary, parse, sexpr_print, to_unary,
@@ -29,6 +29,7 @@ from srtlab.srt import (
 from proggen import (
     random_inputs, random_loop_program, random_sexpr, random_tiny_program,
 )
+from reference import dec
 from srtlab import trm as t
 
 FUEL = 10**6
@@ -38,10 +39,6 @@ DEFAULT_FUEL = 10**7
 def report(cid, ok, detail):
     print(f"ACCEPTANCE {'PASS' if ok else 'FAIL'} {cid}: {detail}")
     assert ok, f"{cid}: {detail}"
-
-
-def dec(text):
-    return decode(parse(text))
 
 
 def value_equal_runs(p, pstar, d, fuel=FUEL):

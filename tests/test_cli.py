@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,6 +173,23 @@ def test_unwritable_json_path_is_a_program_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_a_quiet_program_error(unbuffered):
+    # the reader has gone before the demo prints; buffered, the write
+    # fails only when stdout is flushed
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(DEMOS.parent / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "srtlab", "demo", "proj1"],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"Exception" not in proc.stderr
 
 
 def test_unknown_demo_is_a_program_error(capsys):

@@ -5,20 +5,17 @@ import pytest
 from srtlab.build import QA, V, asg, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Quote, RunResult, SelfRef,
-    Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, is_tiny,
-    rename_command, run,
+    Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, expr_vars,
+    is_tiny, rename_command, run,
 )
 from srtlab.sexpr import equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code
 from srtlab.srt import kleene_fixpoint, moss_fixpoint
 
 from proggen import random_inputs, random_tiny_program
+from reference import dec
 
 FUEL = 10**6
-
-
-def dec(text):
-    return decode(parse(text))
 
 
 @pytest.mark.parametrize("cls", [
@@ -68,6 +65,42 @@ def test_decode_while_form():
 def test_decode_rejects_malformed(text):
     with pytest.raises(DecodeError):
         dec(text)
+
+
+LONG_TAG = "(bogus " + " ".join(["abcdefgh"] * 12) + ")"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a", "expected program: a"),
+    ("((q) (:= out q) . out)", "improper list in program: ((q) (:= out q) . out)"),
+    ("((q d) (:= out q))", "wrong arity for program: ((q d) (:= out q))"),
+    ("((q . r) (:= out q) out)", "input list is improper: (q . r)"),
+    ("((q q) (:= out q) out)", "input variables must be pairwise distinct: (q q)"),
+    ("(((a)) (:= out q) out)", "input variable must be a non-() atom: (a)"),
+    ("((*) (:= out q) out)", "'*' is not a legal input variable: *"),
+    ("((%q) (:= out %q) out)", "input variable uses the reserved '%' prefix: %q"),
+    ("((q) (:= out q) ())", "output variable must be a non-() atom: ()"),
+    ("((q) (:= out q) *)", "'*' is not a legal output variable: *"),
+    ("((q) (:= out q) %o)", "output variable uses the reserved '%' prefix: %o"),
+    ("((q) x out)", "expected a command: x"),
+    ("((q) (:= out ((a) q)) out)",
+     "expression head must be an operator atom: ((a) q)"),
+    ("((q) (bogus q) out)", "unknown command tag: (bogus q)"),
+    ("((q) (:= out (frob q)) out)", "unknown expression tag: (frob q)"),
+    ("((q) (while q . x) out)", "improper list in while: (while q . x)"),
+    ("((q) (while x) x)", "wrong arity for while: (while x)"),
+    ("((q) (:= out ()) out)", "variable must be a non-() atom: ()"),
+    ("((q) (:= out %x) out)", "variable uses the reserved '%' prefix: %x"),
+    ("((q) (:= (a b) q) out)", "assigned variable must be a non-() atom: (a b)"),
+    ("((q) (:= * q) out)", "'*' is not a legal assigned variable: *"),
+    ("((q) (:= %x q) out)", "assigned variable uses the reserved '%' prefix: %x"),
+    # a subtree printed longer than 80 characters is cut to 77 and "..."
+    (f"((q) {LONG_TAG} out)", f"unknown command tag: {LONG_TAG[:77]}..."),
+])
+def test_decode_error_messages(text, message):
+    with pytest.raises(DecodeError) as caught:
+        dec(text)
+    assert str(caught.value) == message
 
 
 def test_decode_rejects_reserved_names_in_user_source():
@@ -251,8 +284,8 @@ def test_arity_mismatch_rejected():
         run(dec("((q d) (:= out q) out)"), [parse("a")], 100)
 
 
-def _deep_expression_body():
-    body = V("d")  # an expression as a command, past the outlining depth
+def _deep(body):
+    """``body`` in 20 nested whiles, past the outlining depth."""
     for _ in range(20):
         body = wh(V("d"), body)
     return body
@@ -262,14 +295,27 @@ def _deep_expression_body():
     lambda: Assign("x", Assign("y", V("d"))),
     lambda: asg("x", Hd(seq(asg("y", V("d")), asg("z", V("d"))))),
     lambda: V("d"),
-    _deep_expression_body,
+    lambda: _deep(V("d")),
+    lambda: _deep(Assign("x", "junk")),
 ], ids=["command-as-operand", "command-under-hd", "expression-as-body",
-        "deep-expression-as-body"])
+        "deep-expression-as-body", "deep-non-node"])
 @pytest.mark.parametrize("mode", ["plain", "reflective"])
 def test_misplaced_node_is_rejected_before_running(body, mode):
     p = prog(("d",), body(), "x")
     with pytest.raises(TypeError, match="^cannot compile "):
         run(p, [parse("a")], 100, mode)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda body: is_tiny(prog(("d",), body, "x")),
+    command_vars,
+    lambda body: rename_command(body, {"d": "e"}),
+], ids=["is_tiny", "command_vars", "rename_command"])
+def test_walkers_reject_a_value_that_is_no_node(walk):
+    with pytest.raises(TypeError, match="^cannot compile 'junk'"):
+        walk(seq(asg("y", V("d")), Assign("x", "junk")))
+    with pytest.raises(TypeError, match="^cannot compile 'junk'"):
+        expr_vars(Hd("junk"))
 
 
 def test_run_handles_any_control_nesting():

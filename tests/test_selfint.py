@@ -11,12 +11,9 @@ from srtlab.selfint import (
 from srtlab.sexpr import equal, from_unary, parse, sexpr_print, to_unary
 
 from proggen import random_inputs, random_loop_program
+from reference import dec
 
 FUEL = 10**7
-
-
-def dec(text):
-    return decode(parse(text))
 
 
 def closed_factorial():

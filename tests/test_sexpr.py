@@ -9,7 +9,7 @@ from srtlab.sexpr import (
 )
 
 from proggen import random_sexpr
-from reference import ref_measure
+from reference import ref_measure, ref_parse, ref_print
 
 
 def test_parse_empty_list_is_the_nil_atom():
@@ -173,69 +173,8 @@ def test_deep_head_nesting_does_not_overflow():
 
 
 # ---------------------------------------------------------------------------
-# the parser against a reference: the character-at-a-time tokeniser and
+# the parser against ``ref_parse``: the character-at-a-time tokeniser and
 # the parse loop over (token, offset) pairs that the regex tokeniser replaced
-
-def ref_tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in "()":
-            i += 1
-        tokens.append((text[start:i], start))
-    return tokens
-
-
-def ref_parse(text):
-    tokens = ref_tokenize(text)
-    if not tokens:
-        raise ParseError("empty input", 0)
-    outer = []
-    values = dot = start = None
-    for pos, (tok, offset) in enumerate(tokens):
-        if tok == "(" or (tok != ")" and tok != "."):
-            if dot is not None and dot < len(values):
-                raise ParseError("more than one value after '.'", offset)
-            if tok == "(":
-                outer.append((values, dot, start))
-                values, dot, start = [], None, offset
-                continue
-            value = Atom(tok)
-        elif values is None:
-            raise ParseError("unbalanced ')'" if tok == ")" else "unexpected '.'",
-                             offset)
-        elif tok == ".":
-            if not values or dot is not None:
-                raise ParseError("misplaced '.'", offset)
-            if pos + 1 == len(tokens) or tokens[pos + 1][0] in (")", "."):
-                raise ParseError("missing value after '.'", offset)
-            dot = len(values)
-            continue
-        else:
-            if not values:
-                value = Atom("()")
-            else:
-                value = NIL if dot is None else values.pop()
-                for element in reversed(values):
-                    value = Pair(element, value)
-            values, dot, start = outer.pop()
-        if values is None:
-            if pos + 1 != len(tokens):
-                raise ParseError("stray tokens after expression",
-                                 tokens[pos + 1][1])
-            return value
-        values.append(value)
-    raise ParseError("unbalanced '('", start)
-
 
 def parse_outcome(parser, text):
     """The printed value and its measure, or the error message and offset;
@@ -297,18 +236,8 @@ def test_regex_whitespace_is_str_isspace():
 
 
 # ---------------------------------------------------------------------------
-# the printer and measure against recursive references, on random DAGs
-
-def ref_print(s):
-    if type(s) is Atom:
-        return s.name
-    items = []
-    while type(s) is Pair:
-        items.append(ref_print(s.head))
-        s = s.tail
-    dotted = "" if s.name == "()" else " . " + s.name
-    return "(" + " ".join(items) + dotted + ")"
-
+# the printer and measure against ``ref_print`` and ``ref_measure``, on
+# random DAGs
 
 def random_dag(rng, steps):
     """Pairs built over a pool that keeps every node made, so later pairs

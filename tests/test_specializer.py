@@ -7,13 +7,10 @@ from srtlab.sexpr import dag_size, equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code, s11_program, specialize
 from srtlab.srt import demo_program, kleene_fixpoint
 
-from proggen import random_inputs, random_tiny_program
+from proggen import random_inputs, random_loop_program, random_tiny_program
+from reference import dec
 
 FUEL = 10**6
-
-
-def dec(text):
-    return decode(parse(text))
 
 
 def test_specialized_program_shape():
@@ -149,6 +146,32 @@ def test_dce_keeps_loops_conservatively():
     opt = eliminate_dead_code(p)
     d = to_unary(5)
     assert equal(run(p, [d], FUEL).value, run(opt, [d], FUEL).value)
+
+
+def test_dce_shrinks_a_dead_branch_arm():
+    p = dec("((x) (if (atom? x) (:= y (hd x)) (:= out x)) out)")
+    opt = eliminate_dead_code(p)
+    assert sexpr_print(encode(opt)) == \
+        "((x) (if (atom? x) (:= %dead (QUOTE ())) (:= out x)) out)"
+    for text in ["a", "(a b)", "()"]:
+        d = parse(text)
+        assert equal(run(p, [d], FUEL).value, run(opt, [d], FUEL).value)
+
+
+def test_dce_preserves_semantics_on_random_loop_programs():
+    # these nest if in while, so the sweep joins branches inside loops
+    rng = random.Random(43)
+    branching = 0
+    for _ in range(500):
+        p = random_loop_program(rng)
+        branching += "(if " in sexpr_print(encode(p))
+        opt = eliminate_dead_code(p)
+        for d in random_inputs(rng, 3):
+            want = run(p, [d], FUEL)
+            got = run(opt, [d], FUEL)
+            if want.halted:
+                assert got.halted and equal(got.value, want.value)
+    assert branching > 100
 
 
 def test_dce_quine_stays_semantically_the_quine_of_the_original():

@@ -16,13 +16,9 @@ from srtlab.srt import (
 )
 
 from proggen import random_inputs, random_tiny_program
-from reference import ref_measure
+from reference import dec, ref_measure
 
 FUEL = 10**6
-
-
-def dec(text):
-    return decode(parse(text))
 
 
 def assert_srt_equation(p, pstar, data, fuel=FUEL, mode="plain"):

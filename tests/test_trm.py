@@ -1,6 +1,5 @@
 import hashlib
 import random
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +10,8 @@ from srtlab.trm import (
     trm_moss_fixpoint, trm_moss_qhat, trm_parse, trm_print, trm_run,
     trm_s11_program, trm_write_program, write_code,
 )
+
+from reference import ref_run, ref_scan
 
 FUEL = 10**6
 
@@ -256,31 +257,7 @@ def test_inputs_validated():
 
 
 # ---------------------------------------------------------------------------
-# the tokeniser against a reference scanner, one character at a time
-
-def ref_scan(raw):
-    """(k, n) pairs of ``raw``, or the (message, offset) of its first error."""
-    for k, ch in enumerate(raw):
-        if ch not in "1#":
-            return f"illegal character {ch!r}", k
-    instrs = []
-    i, n = 0, len(raw)
-    while i < n:
-        start = i
-        while i < n and raw[i] == "1":
-            i += 1
-        if i == start:
-            return "instruction must start with 1s", i
-        hstart = i
-        while i < n and raw[i] == "#":
-            i += 1
-        if i == hstart:
-            return "instruction lacks #s", start
-        if i - hstart > 5:
-            return "too many #s in one instruction", hstart
-        instrs.append((i - hstart, hstart - start))
-    return tuple(instrs)
-
+# the tokeniser against ``ref_scan``, one character at a time
 
 def test_tokeniser_matches_the_reference_scanner():
     rng = random.Random(107)
@@ -308,61 +285,7 @@ def test_tokeniser_matches_the_reference_scanner():
 
 
 # ---------------------------------------------------------------------------
-# differential oracle: a reference runner, one instruction at a time
-
-def ref_instructions(raw):
-    """(#-count, 1-count) per instruction of a well-formed {1,#} text."""
-    return [(len(hashes), len(ones))
-            for ones, hashes in re.findall(r"(1+)(#+)", raw)]
-
-
-def ref_move_at(instrs, pc):
-    """(i, j) when a move block between registers 1-8 starts at pc."""
-    block = instrs[pc - 1:pc + 6]
-    if len(block) != 7:
-        return None
-    i, j = block[0][1], block[3][1]
-    shape = [(5, i), (3, 6), (3, 3), (2, j), (4, 4), (1, j), (4, 6)]
-    if block == shape and i != j and i <= 8 and j <= 8:
-        return i, j
-    return None
-
-
-def ref_run(raw, inputs, fuel, variant="standard", boundary=None):
-    """(status, steps, setup_steps, registers), computed naively."""
-    instrs = ref_instructions(raw)
-    regs = {k: list(text) for k, text in enumerate(inputs, start=1)}
-    pc, steps, setup = 1, 0, None
-    while True:
-        if boundary is not None and setup is None and pc >= boundary:
-            setup = steps
-        if not 1 <= pc <= len(instrs):
-            status = "halted" if pc == len(instrs) + 1 else "abnormal_halt"
-            break
-        if steps == fuel:
-            status = "fuel_exhausted"
-            break
-        steps += 1
-        move = ref_move_at(instrs, pc) if variant == "fast_assign" else None
-        if move is not None:
-            regs.setdefault(move[1], []).extend(regs.pop(move[0], []))
-            pc += 7
-            continue
-        op, n = instrs[pc - 1]
-        if op in (1, 2):
-            regs.setdefault(n, []).append("1#"[op - 1])
-            pc += 1
-        elif op == 3:
-            pc += n
-        elif op == 4:
-            pc -= n
-        elif not regs.get(n):
-            pc += 1
-        else:
-            pc += 2 if regs[n].pop(0) == "1" else 3
-    registers = {k: "".join(v) for k, v in regs.items() if v}
-    return status, steps, setup, registers
-
+# differential oracle: ``ref_run``, one instruction at a time
 
 def assert_agrees(program, inputs, fuel, variant, boundary):
     r = trm_run(program, inputs, fuel, variant=variant, boundary=boundary)
