@@ -25,28 +25,27 @@ class CliError(Exception):
     pass
 
 
-def _load_flow(path):
+def _load(path, parse_text, errors):
+    """``parse_text`` of the file at ``path``; failures become CliErrors."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     try:
-        return decode(parse(text), allow_reserved=True)
-    except (ParseError, DecodeError) as exc:
+        return parse_text(text)
+    except errors as exc:
         raise CliError(f"{path}: {exc}") from None
+
+
+def _load_flow(path):
+    return _load(path, lambda text: decode(parse(text), allow_reserved=True),
+                 (ParseError, DecodeError))
 
 
 def _load_trm(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = "".join(fh.read().split())
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-    try:
-        return t.trm_parse(raw)
-    except t.TrmParseError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    return _load(path, lambda text: t.trm_parse("".join(text.split())),
+                 t.TrmParseError)
 
 
 def _parse_value(text):
@@ -120,11 +119,7 @@ def _cmd_demo(args):
 
 def _cmd_futamura(args):
     source = _load_flow(args.source) if args.source else None
-    try:
-        result = futamura(args.stage, source, args.fuel)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(sexpr_print(encode(result)))
+    print(sexpr_print(encode(futamura(args.stage, source, args.fuel))))
     return 0
 
 

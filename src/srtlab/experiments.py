@@ -7,8 +7,8 @@ report is checkable without re-running anything.
 """
 
 import json
+import math
 
-from .build import QA, QNIL, V, asg, cons, hd, prog, seq, tl, wh
 from .flowchart import decode, encode, run
 from .selfint import measure_overhead
 from .sexpr import from_unary, measure, parse, to_unary
@@ -76,6 +76,33 @@ def _affine_fit(points):
     return a, b, resid
 
 
+def _curve(report, demo, n_max, fuel, mode, skip_after=None):
+    """Run the Kleene fixpoint of ``demo`` on unary n = 1..n_max and
+    record each point; return the steps of the halted runs by n.
+
+    With ``skip_after``, points after that many exhausted runs in a row
+    are recorded as skipped, not run.
+    """
+    program = kleene_fixpoint(demo_program(demo))
+    steps = {}
+    streak = 0
+    for n in range(1, n_max + 1):
+        if skip_after is not None and streak >= skip_after:
+            report.point(demo, n=n, steps=None,
+                         status="skipped_after_exhaustion")
+            continue
+        r = run(program, [to_unary(n)], fuel, mode)
+        if r.halted:
+            streak = 0
+            steps[n] = r.steps
+            report.point(demo, n=n, steps=r.steps, status=r.status,
+                         value=from_unary(r.value))
+        else:
+            streak += 1
+            report.point(demo, n=n, steps=r.steps, status=r.status)
+    return steps
+
+
 def experiment_factorial_curve(n_max=6, fuel=DEFAULT_FUEL, seed=0):
     """Step curves of the two factorial fixpoints.
 
@@ -88,38 +115,10 @@ def experiment_factorial_curve(n_max=6, fuel=DEFAULT_FUEL, seed=0):
     report = Report("factorial-curve", seed,
                     {"n_max": n_max, "fuel": fuel})
     univ_n_max = min(n_max, 7)
-
-    p_univ = kleene_fixpoint(demo_program("factorial_univ"))
-    univ_steps = {}
-    exhausted_streak = 0
-    for n in range(1, univ_n_max + 1):
-        if exhausted_streak >= 2:
-            report.point("factorial_univ", n=n, steps=None,
-                         status="skipped_after_exhaustion")
-            continue
-        r = run(p_univ, [to_unary(n)], fuel)
-        if r.halted:
-            exhausted_streak = 0
-            univ_steps[n] = r.steps
-            value = from_unary(r.value)
-            report.point("factorial_univ", n=n, steps=r.steps,
-                         status=r.status, value=value)
-        else:
-            exhausted_streak += 1
-            report.point("factorial_univ", n=n, steps=r.steps,
-                         status=r.status)
-
-    p_refl = kleene_fixpoint(demo_program("factorial_reflective"))
-    refl_points = []
-    for n in range(1, n_max + 1):
-        r = run(p_refl, [to_unary(n)], fuel, mode="reflective")
-        if r.halted:
-            refl_points.append((n, r.steps))
-            report.point("factorial_reflective", n=n, steps=r.steps,
-                         status=r.status, value=from_unary(r.value))
-        else:
-            report.point("factorial_reflective", n=n, steps=r.steps,
-                         status=r.status)
+    univ_steps = _curve(report, "factorial_univ", univ_n_max, fuel, "plain",
+                        skip_after=2)
+    refl_points = list(_curve(report, "factorial_reflective", n_max, fuel,
+                              "reflective").items())
 
     # growth-class verdicts
     ratios = {n: univ_steps[n] / univ_steps[n - 1]
@@ -153,54 +152,32 @@ def experiment_factorial_curve(n_max=6, fuel=DEFAULT_FUEL, seed=0):
         report.verdict("AC8-reflective-linear", "report-only",
                        {"note": "too few halted points"})
 
-    expected = 1
-    values_ok = True
-    for n in range(1, n_max + 1):
-        expected = expected * n
-        for entry in report.datapoints:
-            if entry.get("n") == n and entry.get("value") is not None:
-                if entry["value"] != expected:
-                    values_ok = False
+    values_ok = all(p["value"] == math.factorial(p["n"])
+                    for p in report.datapoints if "value" in p)
     report.verdict("AC8-values", "pass" if values_ok else "fail",
                    {"checked_against": "n!"})
     return report
 
 
 _OVERHEAD_SIZES = (1, 50, 5000)
-
-
-def _length_program():
-    return prog(("x",), seq(
-        asg("t", V("x")),
-        asg("out", QNIL()),
-        wh(V("t"),
-           asg("out", cons(QA("1"), V("out"))),
-           asg("t", tl(V("t")))),
-    ), "out")
-
-
-def _reverse_program():
-    return prog(("x",), seq(
-        asg("t", V("x")),
-        asg("out", QNIL()),
-        wh(V("t"),
-           asg("out", cons(hd(V("t")), V("out"))),
-           asg("t", tl(V("t")))),
-    ), "out")
+#: The overhead programs in concrete syntax, decoded afresh on each run.
+_OVERHEAD_PROGRAMS = {
+    "identity": "((x) (:= out x) out)",
+    "length": "((x) (; (:= t x) (; (:= out (QUOTE ())) (while t (; "
+              "(:= out (cons (QUOTE 1) out)) (:= t (tl t)))))) out)",
+    "reverse": "((x) (; (:= t x) (; (:= out (QUOTE ())) (while t (; "
+               "(:= out (cons (hd t) out)) (:= t (tl t)))))) out)",
+}
 
 
 def experiment_overhead(fuel=DEFAULT_FUEL, seed=0):
     """Interpretation-overhead stability for three programs."""
     report = Report("overhead", seed,
                     {"fuel": fuel, "input_lengths": list(_OVERHEAD_SIZES)})
-    identity = decode(parse("((x) (:= out x) out)"))
-    programs = [("identity", identity),
-                ("length", _length_program()),
-                ("reverse", _reverse_program())]
     inputs = [to_unary(n) for n in _OVERHEAD_SIZES]
     monotone = True
-    for label, program in programs:
-        rows, verdict = measure_overhead(program, inputs, fuel)
+    for label, text in _OVERHEAD_PROGRAMS.items():
+        rows, verdict = measure_overhead(decode(parse(text)), inputs, fuel)
         for size, direct, interp, ratio in rows:
             report.point(label, input_tree_size=size, time_p=direct,
                          time_univ=interp, ratio=round(ratio, 3))
@@ -228,13 +205,17 @@ def _trm_base(name):
     raise ValueError(name)
 
 
-def experiment_trm_compare(fuel=DEFAULT_FUEL, seed=0, datum="1#"):
+#: The input of every trm-compare run.
+_TRM_DATUM = "1#"
+
+
+def experiment_trm_compare(fuel=DEFAULT_FUEL, seed=0):
     """Moss vs Kleene on the register machine, and the fast-assign variant.
 
     The headline verdicts are taken on the smallest base program; the
     other bases are reported as datapoints.
     """
-    report = Report("trm-compare", seed, {"fuel": fuel, "datum": datum,
+    report = Report("trm-compare", seed, {"fuel": fuel, "datum": _TRM_DATUM,
                                           "bases": list(_TRM_BASES)})
     headline = {}
     for name in _TRM_BASES:
@@ -243,10 +224,10 @@ def experiment_trm_compare(fuel=DEFAULT_FUEL, seed=0, datum="1#"):
         kleene = t.trm_kleene_fixpoint(base, fuel)
         mb = t.setup_boundary(moss, base)
         kb = t.setup_boundary(kleene, base)
-        rm = t.trm_run(moss, [datum], fuel, boundary=mb)
-        rk = t.trm_run(kleene, [datum], fuel, boundary=kb)
-        rm_fast = t.trm_run(moss, [datum], fuel, variant="fast_assign")
-        rk_fast = t.trm_run(kleene, [datum], fuel, variant="fast_assign")
+        rm = t.trm_run(moss, [_TRM_DATUM], fuel, boundary=mb)
+        rk = t.trm_run(kleene, [_TRM_DATUM], fuel, boundary=kb)
+        rm_fast = t.trm_run(moss, [_TRM_DATUM], fuel, variant="fast_assign")
+        rk_fast = t.trm_run(kleene, [_TRM_DATUM], fuel, variant="fast_assign")
         same_out = (rm_fast.output == rm.output and rk_fast.output == rk.output)
         ratio = rk.steps / rm.steps
         speedup = rm.steps / rm_fast.steps
@@ -283,9 +264,9 @@ def experiment_sizes(fuel=DEFAULT_FUEL, seed=0):
         base = demo_program(name)
         tilde = kleene_intermediate(base)
         tilde_dag = measure(encode(tilde))[1]
-        for method, fix in (("kleene", kleene_fixpoint),
-                            ("moss", moss_fixpoint)):
-            pstar = fix(base)
+        for method in ("kleene", "moss"):
+            pstar = (kleene_fixpoint(base) if method == "kleene"
+                     else moss_fixpoint(base, fuel))
             enc = encode(pstar)
             ts, ds = measure(enc)
             strict = strict and ts > ds

@@ -39,9 +39,7 @@ operands and its dispatch step.
 
 import functools
 
-from .sexpr import (
-    NIL, ONE, Atom, Pair, equal, from_list, is_nil, sexpr_print, to_list,
-)
+from .sexpr import NIL, ONE, Atom, Pair, equal, from_list, is_nil, sexpr_print
 
 __all__ = [
     "Program", "Assign", "Seq", "While", "If",
@@ -199,10 +197,13 @@ class DecodeError(ValueError):
 def _expect_list(s, length, what):
     if type(s) is not Pair:
         raise DecodeError(f"expected {what}", s)
-    try:
-        items = to_list(s)
-    except ValueError:
-        raise DecodeError(f"improper list in {what}", s) from None
+    items = []
+    rest = s
+    while type(rest) is Pair:
+        items.append(rest.head)
+        rest = rest.tail
+    if type(rest) is not Atom or rest.name != "()":
+        raise DecodeError(f"improper list in {what}", s)
     if len(items) != length:
         raise DecodeError(f"wrong arity for {what}", s)
     return items
@@ -563,10 +564,12 @@ class _Emitter:
                          (cmd.then, None, inner, depth + 1)]
 
     def _test(self, test, ind):
-        """Emit a loop test, charge and check it, return its condition."""
+        """Emit a loop test, charge and check it, return its condition.
+        A test that ends in a univ call was checked by that call."""
         self.pending += 1  # the test event
         test = self._expr(test, ind, _TEST)
-        self._check(ind)
+        if self.pending:
+            self._check(ind)
         return test
 
     def _outline(self, cmd, ind):

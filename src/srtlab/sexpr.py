@@ -23,8 +23,7 @@ from itertools import islice
 __all__ = [
     "SExpr", "Atom", "Pair", "NIL", "ONE",
     "ParseError", "parse", "sexpr_print", "measure", "tree_size",
-    "dag_size", "equal", "is_nil", "from_list", "to_list",
-    "from_unary", "to_unary",
+    "dag_size", "equal", "is_nil", "from_list", "from_unary", "to_unary",
 ]
 
 
@@ -264,17 +263,6 @@ def from_list(items, tail=NIL):
     for item in reversed(items):
         result = Pair(item, result)
     return result
-
-
-def to_list(s):
-    """Flatten a ()-terminated chain to a python list; error on improper."""
-    items = []
-    while type(s) is Pair:
-        items.append(s.head)
-        s = s.tail
-    if not is_nil(s):
-        raise ValueError("improper list")
-    return items
 
 
 def to_unary(n):

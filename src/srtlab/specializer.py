@@ -9,7 +9,10 @@ be run, specialised and self-applied like any other data.
 import functools
 
 from .build import QA, V, asg, hd, lst, prog, seq, tl
-from .flowchart import Assign, If, Program, Quote, Seq, Var, While, expr_vars
+from .flowchart import (
+    Assign, If, Program, Quote, SelfRef, Seq, UnivCall, Var, While, _nodes,
+    expr_vars,
+)
 from .sexpr import NIL
 
 __all__ = ["specialize", "s11_program", "eliminate_dead_code"]
@@ -62,7 +65,9 @@ def eliminate_dead_code(program):
     Backward liveness from the output variable.  Loops and branches are
     handled conservatively: every variable read anywhere inside them is
     treated as live throughout the construct, and the constructs
-    themselves are always kept.
+    themselves are always kept.  So is an assignment that calls univ or
+    reads ``*``, even when dead: either can fault, and univ can also
+    run forever.
     """
     body = _sweep(program.body, {program.output})
     if body is None:
@@ -97,7 +102,7 @@ def _sweep(cmd, live):
             orelse, then = kept.pop() or _noop(), kept.pop() or _noop()
             kept.append(cmd if then is cmd.then and orelse is cmd.orelse
                         else If(cmd.test, then, orelse))
-        elif t is Assign and cmd.var in live:
+        elif t is Assign and (cmd.var in live or _may_fault(cmd.expr)):
             live = expr_vars(cmd.expr, live - {cmd.var})
             kept.append(cmd)
         elif t is Assign:
@@ -114,6 +119,10 @@ def _sweep(cmd, live):
         else:
             raise TypeError(f"cannot sweep {cmd!r}")
     return kept.pop()
+
+
+def _may_fault(expr):
+    return any(type(n) is UnivCall or type(n) is SelfRef for n in _nodes(expr))
 
 
 def _noop():

@@ -173,13 +173,11 @@ def test_criterion_06_universal_program():
             if direct.halted:
                 assert equal(direct.value, interp.value), f"value split on {i}"
             checked += 1
-    from srtlab.experiments import _length_program, _reverse_program
+    from srtlab.experiments import _OVERHEAD_PROGRAMS
     drifts = []
-    for label, program in [("identity", dec("((x) (:= out x) out)")),
-                           ("length", _length_program()),
-                           ("reverse", _reverse_program())]:
+    for label, text in _OVERHEAD_PROGRAMS.items():
         rows, verdict = measure_overhead(
-            program, [to_unary(n) for n in (1, 50, 5000)], DEFAULT_FUEL)
+            dec(text), [to_unary(n) for n in (1, 50, 5000)], DEFAULT_FUEL)
         assert not verdict.startswith("partial")
         ratios = [row[3] for row in rows]
         drift = max(ratios) / min(ratios)

@@ -140,6 +140,27 @@ def test_program_error_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv,name,text,message", [
+    (["futamura", "target"], None, None,
+     "stage 'target' needs a source program"),
+    (["run", "{path}"], "missing.sexp", None,
+     "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    (["run", "{path}", "--lang", "trm"], "missing.1#", None,
+     "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    (["run", "{path}"], "bad.sexp", "(", "{path}: unbalanced '(' (at offset 0)"),
+    (["run", "{path}", "--lang", "trm"], "bad.1#", "#\n",
+     "{path}: instruction must start with 1s (at offset 0)"),
+])
+def test_program_errors_are_reported_exactly(capsys, tmp_path, argv, name,
+                                             text, message):
+    path = tmp_path / name if name else None
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message.format(path=path)}\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -241,6 +262,21 @@ def test_experiment_json_is_pinned(capsys, name, digest):
     code, out, _ = run_cli(capsys, "experiment", name, "--seed", "0")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+
+def test_experiment_sizes_honours_fuel(capsys):
+    code, out, err = run_cli(capsys, "experiment", "sizes", "--fuel", "5")
+    assert code == 1 and out == ""
+    assert err == "error: generator run failed: fuel_exhausted\n"
+
+
+def test_factorial_curve_exhaustion_rules_are_pinned(capsys):
+    # the univ curve skips n = 4..7 after two exhaustions in a row; the
+    # reflective curve still runs n = 8..10, each of which is exhausted
+    code, out, _ = run_cli(capsys, "experiment", "factorial-curve", "--n-max",
+                           "10", "--fuel", "100000", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("1b8a80f3efec")
 
 
 @pytest.mark.parametrize("name,digest", [

@@ -6,14 +6,14 @@ from srtlab.build import QA, V, asg, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Quote, RunResult, SelfRef,
     Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, expr_vars,
-    is_tiny, rename_command, run,
+    _Emitter, is_tiny, rename_command, run,
 )
 from srtlab.sexpr import equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code
 from srtlab.srt import kleene_fixpoint, moss_fixpoint
 
 from proggen import random_inputs, random_tiny_program
-from reference import dec
+from reference import _agree, dec
 
 FUEL = 10**6
 
@@ -350,3 +350,12 @@ def test_unbounded_univ_nesting_exhausts_fuel():
     p = dec("((d) (:= out (univ * d)) out)")
     r = run(p, [parse("a")], 10**5, mode="reflective")
     assert r.status == RunResult.FUEL and r.steps == 10**5
+
+
+def test_a_loop_test_ending_in_univ_is_not_checked_twice():
+    # the callee's final read has just checked the steps against the fuel
+    p = dec("((d) (while (univ * (tl d)) (:= d (tl d))) d)")
+    assert "s += 0" not in _Emitter(p, True).source()
+    for text in ("a", "(a b c)"):
+        for fuel in range(1, 201):
+            _agree(p, [parse(text)], fuel, "reflective")

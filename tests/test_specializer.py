@@ -111,6 +111,21 @@ def test_dce_drops_an_unused_assignment():
     assert sexpr_print(encode(opt)) == "((d) (:= out d) out)"
 
 
+@pytest.mark.parametrize("text,args,mode", [
+    ("((q d) (; (:= x (univ q d)) (:= out d)) out)", ["junk", "a"], "reflective"),
+    ("((d) (; (:= x *) (:= out d)) out)", ["a"], "plain"),
+])
+def test_dce_keeps_a_dead_assignment_that_can_fault(text, args, mode):
+    p = dec(text)
+    opt = eliminate_dead_code(p)
+    assert sexpr_print(encode(opt)) == text
+    values = [parse(a) for a in args]
+    want, got = run(p, values, FUEL, mode), run(opt, values, FUEL, mode)
+    assert want.status == "runtime_error"
+    assert (got.status, got.steps, got.detail) == \
+        (want.status, want.steps, want.detail)
+
+
 def test_dce_on_the_slow_identity_fixpoint():
     pstar = kleene_fixpoint(demo_program("proj2"))
     opt = eliminate_dead_code(pstar)
