@@ -32,6 +32,8 @@ def _load(path, parse_text, errors):
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from None
     try:
         return parse_text(text)
     except errors as exc:

@@ -150,11 +150,19 @@ def test_program_error_exit_code(capsys, tmp_path):
     (["run", "{path}"], "bad.sexp", "(", "{path}: unbalanced '(' (at offset 0)"),
     (["run", "{path}", "--lang", "trm"], "bad.1#", "#\n",
      "{path}: instruction must start with 1s (at offset 0)"),
+    (["run", "{path}"], "bin.sexp", b"\xff\xfe",
+     "{path}: 'ascii' codec can't decode byte 0xff in position 0: "
+     "ordinal not in range(128)"),
+    (["run", "{path}", "--lang", "trm"], "bin.1#", b"\xff\xfe",
+     "{path}: 'ascii' codec can't decode byte 0xff in position 0: "
+     "ordinal not in range(128)"),
 ])
 def test_program_errors_are_reported_exactly(capsys, tmp_path, argv, name,
                                              text, message):
     path = tmp_path / name if name else None
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
     assert (code, out) == (1, "")
