@@ -32,26 +32,19 @@ the exact step count of running them one instruction at a time:
     bodies name (``trm_erase``'s loop, at 2a + 2b + 2, is summed up too);
   * a write run of two or more appends: one step each.
 
-The table of these blocks is keyed by start pc and built on a program's
-first run.  A loop's summary depends only on its own instructions, so
-it is cached by them (up to 1024 shapes): every fixpoint repeats the
-same few toolkit loops.  The runner steps one instruction at a time
-instead when a block costs more than the fuel left, or when it ends
-past the set-up boundary, so exhaustion and ``setup_steps`` stay exact.
+The table of these blocks is built once per program, keyed by start pc.
+A loop's summary depends only on its own instructions, so it is cached
+by them (up to 1024 shapes): every fixpoint repeats the same few toolkit
+loops, and a new program's table reuses their translate tables.  The
+runner steps one instruction at a time instead when a block costs more
+than the fuel left, or when it ends past the set-up boundary, so
+exhaustion and ``setup_steps`` stay exact.
 
-A program built from pieces (both fixpoints, ``trm_moss_qhat`` and
-``trm_compose``) is assembled from cached, shifted pieces rather than
-parsed as one text (Moss 2006).  Its text is cut into segments where
-one piece ends in # and the next begins with 1, so every seam is an
-instruction boundary.  Each segment is parsed once and cached by its
-text (up to 256 segments), and the program's instructions are theirs,
-joined.  Its table is the segments' tables shifted by their pc offsets,
-re-tabled only where a block crosses a seam: a write run with appends
-on both sides, or a case whose jumps or loop run past one.  The result
-equals the parse of the whole text, and a text that fails to parse is
-parsed whole, so every error message and offset is the whole text's.
-The fixpoints hand over the output register's chunks (three for each
-toolkit fixpoint), whose texts recur whenever the same base is built.
+Both fixpoints and ``trm_moss_qhat`` look their program up by its whole
+text among the 64 most recently built (``_program``).  A fixpoint built
+again from the same base has the same generator and output texts, so it
+is neither re-tokenised nor re-tabled; a new base's texts are parsed
+whole, and a text that fails to parse raises as ``TrmProgram`` does.
 
 Each register is a deque of non-empty text chunks.  A summed-up loop
 reads its register with one join and appends each translation as one
@@ -71,7 +64,6 @@ import functools
 import re
 import sys
 from collections import deque
-from itertools import chain
 from operator import itemgetter
 
 __all__ = [
@@ -84,8 +76,6 @@ __all__ = [
 ]
 
 _ILLEGAL = re.compile(r"[^1#]")
-_RUN = re.compile(rb"[\x01\x02]{2,}")          # a write run, as opcodes
-_CASE = re.compile(rb"\x05\x03[\x03\x04]")     # a loop or erase case
 _SYMBOLS = bytes.maketrans(b"\x01\x02", b"1#")   # append opcode -> symbol
 
 
@@ -128,7 +118,7 @@ def trm_print(program):
 
 
 class TrmProgram:
-    __slots__ = ("raw", "instrs", "_table", "_segments")
+    __slots__ = ("raw", "instrs", "_blocks")
 
     def __init__(self, raw):
         bad = _ILLEGAL.search(raw)
@@ -137,8 +127,7 @@ class TrmProgram:
                                 bad.start())
         self.raw = raw
         self.instrs = _parse_instructions(raw)
-        self._table = None
-        self._segments = None       # set by _assemble
+        self._blocks = None
 
     def __len__(self):
         return len(self.instrs)
@@ -148,124 +137,37 @@ class TrmProgram:
         return f"<1# program [{len(self.instrs)} instrs] {text}>"
 
     def _summaries(self):
-        """(blocks, names): the summed-up loops and write runs keyed by
-        start pc, and the registers that the instructions name."""
-        return self._tables()[:2]
-
-    def _tables(self):
-        """(blocks, names, cases, ops), built once per program: the
-        summaries, the starts of the cases that begin no block (a loop
-        that runs past the last instruction is among them) and the
-        opcodes as bytes."""
-        if self._table is None:
-            if self._segments is None:
-                self._table = _tabulate(self.instrs)
-            else:
-                self._table = _join_tables(self._segments, self.instrs)
-                self._segments = None
-        return self._table
-
-
-def _tabulate(instrs):
-    """``TrmProgram._tables`` of the instructions ``instrs``."""
-    ops = bytes(map(itemgetter(0), instrs))
-    blocks = {}
-    for run in _RUN.finditer(ops):
-        k, end = run.span()
-        blocks[k + 1] = (end + 1, 0, end - k, 0, 0,
-                         _appends(instrs[k:end]), False)
-    cases = []
-    for case in _CASE.finditer(ops):
-        k = case.start()
-        block = _case_block(instrs, k)
-        if block is None:
-            cases.append(k)
-        else:
-            blocks[k + 1] = block
-    names = {n for op, n in set(instrs) if op in (1, 2, 5)}
-    return blocks, names, cases, ops
+        """(blocks, names), built once per program: the summed-up loops
+        and write runs keyed by start pc, and the registers that the
+        instructions name."""
+        if self._blocks is None:
+            instrs = self.instrs
+            ops = bytes(map(itemgetter(0), instrs))
+            blocks = {}
+            for run in re.finditer(rb"[\x01\x02]{2,}", ops):
+                k, end = run.span()
+                blocks[k + 1] = (end + 1, 0, end - k, 0, 0,
+                                 _appends(instrs[k:end]), False)
+            for case in re.finditer(rb"\x05\x03\x03", ops):
+                k = case.start()
+                h = instrs[k + 2][1] - 2
+                o = instrs[k + 1][1] - 4 - h
+                if h < 0 or o < 0 or k + 5 + h + o > len(instrs):
+                    continue
+                loop = _loop_block(instrs[k:k + 5 + h + o])
+                if loop is not None:
+                    blocks[k + 1] = (k + 6 + h + o,) + loop
+            for case in re.finditer(rb"\x05\x03\x04\x04", ops):
+                k = case.start()    # trm_erase: two steps a symbol
+                if instrs[k + 1:k + 4] == ((3, 3), (4, 2), (4, 3)):
+                    blocks[k + 1] = (k + 5, instrs[k][1], 2, 2, 2, [], False)
+            names = {n for op, n in set(instrs) if op in (1, 2, 5)}
+            self._blocks = (blocks, names)
+        return self._blocks
 
 
-def _case_block(instrs, k):
-    """The block that the case instrs[k] begins, followed by two forward
-    jumps (a ``_loop`` shape) or a jump and two back jumps (``trm_erase``'s
-    loop), or None."""
-    if instrs[k + 2][0] == 3:
-        h = instrs[k + 2][1] - 2
-        o = instrs[k + 1][1] - 4 - h
-        if h < 0 or o < 0 or k + 5 + h + o > len(instrs):
-            return None
-        loop = _loop_block(instrs[k:k + 5 + h + o])
-        return None if loop is None else (k + 6 + h + o,) + loop
-    if instrs[k + 1:k + 4] == ((3, 3), (4, 2), (4, 3)):
-        return (k + 5, instrs[k][1], 2, 2, 2, [], False)
-    return None
-
-
-#: One segment of an assembled program, parsed once per text.
-_segment = functools.lru_cache(maxsize=256)(TrmProgram)
-
-
-def _assemble(pieces):
-    """The program whose text is the concatenation of ``pieces``, equal
-    to ``TrmProgram`` of that text: the cached parses of its segments,
-    joined."""
-    groups = []
-    for piece in filter(None, pieces):
-        if groups and not (groups[-1][-1][-1] == "#" and piece[0] == "1"):
-            groups[-1].append(piece)
-        else:
-            groups.append([piece])
-    raw = "".join(pieces)
-    try:
-        segments = [_segment("".join(group)) for group in groups]
-    except TrmParseError:
-        return TrmProgram(raw)      # raises with the whole text's offset
-    if len(segments) == 1:
-        return segments[0]
-    program = TrmProgram.__new__(TrmProgram)
-    program.raw = raw
-    program.instrs = tuple(chain.from_iterable(
-        seg.instrs for seg in segments))
-    program._table = None
-    program._segments = segments
-    return program
-
-
-def _join_tables(segments, instrs):
-    """The tables of ``segments`` shifted by their pc offsets, with the
-    blocks that cross a seam re-tabled from the joined ``instrs``."""
-    blocks, names, cases, seams, opcodes = {}, set(), [], [], []
-    off = 0
-    for segment in segments:
-        seg_blocks, seg_names, seg_cases, seg_ops = segment._tables()
-        if off:
-            seams.append(off)
-        blocks.update({pc + off: (block[0] + off,) + block[1:]
-                       for pc, block in seg_blocks.items()})
-        names |= seg_names
-        cases += [k + off for k in seg_cases]
-        opcodes.append(seg_ops)
-        off += len(seg_ops)
-    ops = b"".join(opcodes)
-    for run in _RUN.finditer(ops):      # write runs that cross a seam
-        k, end = run.span()
-        inner = [s for s in seams if k < s < end]
-        if inner:
-            for s in inner:
-                blocks.pop(s + 1, None)     # a piece's own run from s
-            blocks[k + 1] = (end + 1, 0, end - k, 0, 0,
-                             _appends(instrs[k:end]), False)
-    for s in seams:                     # cases whose jumps cross a seam
-        cases += [k for k in range(max(s - 2, 0), s) if _CASE.match(ops, k)]
-    blockless = set()
-    for k in cases:                     # ... or whose loop does
-        block = _case_block(instrs, k)
-        if block is None:
-            blockless.add(k)
-        else:
-            blocks[k + 1] = block
-    return blocks, names, sorted(blockless), ops
+#: Programs by text, each parsed and tabled once while it is cached.
+_program = functools.lru_cache(maxsize=64)(TrmProgram)
 
 
 def _appends(body):
@@ -407,7 +309,7 @@ def trm_s11_program():
 
 def trm_compose(p, q):
     """Concatenation; behaves as q after p when p halts normally."""
-    return _assemble((p.raw, q.raw))
+    return TrmProgram(p.raw + q.raw)
 
 
 def trm_moss_qhat(p):
@@ -418,7 +320,7 @@ def trm_moss_qhat(p):
     i.e. a program that stashes its input, computes r on its own text
     into R1, restores the input into R2, and runs p.
     """
-    return _assemble((_qhat_head(), write_code(p.raw)))
+    return _program(_qhat_head() + write_code(p.raw))
 
 
 @functools.cache
@@ -434,7 +336,10 @@ def _qhat_head():
 def trm_moss_fixpoint(p, fuel=10**7):
     """Run the Moss generator on its own text."""
     qhat = trm_moss_qhat(p)
-    return _output_program(qhat, [qhat.raw], fuel, "generator")
+    result = trm_run(qhat, [qhat.raw], fuel)
+    if result.status != "halted":
+        raise RuntimeError(f"generator run failed: {result.status}")
+    return _program(result.output)
 
 
 def trm_kleene_fixpoint(p, fuel=10**7):
@@ -452,16 +357,10 @@ def trm_kleene_fixpoint(p, fuel=10**7):
         + _move(4, 2)
         + p.raw
     )
-    return _output_program(s11, [p_tilde, p_tilde], fuel, "specialiser")
-
-
-def _output_program(program, inputs, fuel, role):
-    """The program that ``program`` leaves in R1, assembled from R1's
-    chunks."""
-    regs, _, status, _ = _execute(program, inputs, fuel, "standard", None)
-    if status != TrmResult.HALTED:
-        raise RuntimeError(f"{role} run failed: {status}")
-    return _assemble(regs[1])
+    result = trm_run(s11, [p_tilde, p_tilde], fuel)
+    if result.status != "halted":
+        raise RuntimeError(f"specialiser run failed: {result.status}")
+    return _program(result.output)
 
 
 def setup_boundary(pstar, p):
@@ -504,17 +403,6 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     ``boundary`` (instruction index) marks where the set-up phase ends:
     ``setup_steps`` records the count when control first reaches it.
     """
-    regs, steps, status, setup = _execute(program, inputs, fuel, variant,
-                                          boundary)
-    registers = {k: "".join(v) for k, v in enumerate(regs) if v}
-    output = registers.get(1, "")
-    return TrmResult(output, steps, status, setup, registers)
-
-
-def _execute(program, inputs, fuel, variant, boundary):
-    """``trm_run``'s loop: (registers, steps, status, setup steps), where
-    registers[n] is R_n's deque of chunks, or None if no instruction or
-    input names it."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if variant not in ("standard", "fast_assign"):
@@ -593,4 +481,6 @@ def _execute(program, inputs, fuel, variant, boundary):
         else:
             regs[n].append("1#"[op - 1])
             pc += 1
-    return regs, steps, status, setup
+    registers = {k: "".join(v) for k, v in enumerate(regs) if v}
+    output = registers.get(1, "")
+    return TrmResult(output, steps, status, setup, registers)

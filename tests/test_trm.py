@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srtlab.trm import (
-    TrmParseError, TrmProgram, _assemble, _loop, _qhat_head, setup_boundary,
-    trm_compose,
+    TrmParseError, TrmProgram, _loop, setup_boundary, trm_compose,
     trm_diag_program, trm_erase, trm_kleene_fixpoint, trm_move,
     trm_moss_fixpoint, trm_moss_qhat, trm_parse, trm_print, trm_run,
     trm_s11_program, trm_write_program, write_code,
@@ -522,74 +521,24 @@ def test_runner_matches_the_reference_on_generated_programs():
 
 
 # ---------------------------------------------------------------------------
-# programs assembled from pieces against the parse of the whole text
-
-def assert_assembles(pieces):
-    """``_assemble(pieces)`` equals ``TrmProgram`` of the joined text, or
-    both fail with the same message and offset."""
-    text = "".join(pieces)
-    try:
-        whole = TrmProgram(text)
-    except TrmParseError as err:
-        with pytest.raises(TrmParseError) as info:
-            _assemble(pieces)
-        assert (str(info.value), info.value.offset) == (str(err), err.offset)
-        return None
-    program = _assemble(pieces)
-    assert (program.raw, program.instrs, program._summaries()) == \
-        (whole.raw, whole.instrs, whole._summaries()), pieces
-    return program
-
-
-def cut(text, cuts):
-    return [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(parts=st.lists(st.one_of(toolkit_blocks, wild_instructions,
-                                st.text("1#x", max_size=3)), max_size=6),
-       data=st.data())
-def test_assembly_equals_the_whole_text_parse(parts, data):
-    text = "".join(parts)
-    cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
-    start = data.draw(st.integers(0, len(text)))
-    stop = data.draw(st.integers(start, min(start + 8, len(text))))
-    shattered = range(start, stop)          # one-symbol chunks
-    assert_assembles(cut(text, sorted(set(cuts).union(shattered))))
-
+# generated programs, looked up by their text
 
 @pytest.mark.parametrize("name,base", BASES)
 def test_generated_programs_equal_the_whole_text_parse(name, base):
     for program in (trm_moss_qhat(base), trm_moss_fixpoint(base),
-                    trm_kleene_fixpoint(base), trm_compose(base, base)):
+                    trm_kleene_fixpoint(base)):
         whole = TrmProgram(program.raw)
         assert (program.instrs, program._summaries()) == \
             (whole.instrs, whole._summaries())
 
 
-@pytest.mark.parametrize("name,base", BASES[1:])
-def test_qhat_retables_the_write_run_across_its_seam(name, base):
-    seam = len(TrmProgram(_qhat_head()).instrs)
-    qhat = assert_assembles([_qhat_head(), write_code(base.raw)])
-    [(start, block)] = [(pc, block)
-                        for pc, block in qhat._summaries()[0].items()
-                        if pc <= seam < block[0] - 1]
-    assert block[0] == len(qhat) + 1 and block[1] == 0
-
-
-def test_a_seam_inside_a_loop_body_is_retabled():
-    dup = LOOPS[2]                    # hash body at pcs 4-7, one body 9-11
-    head = write_code("1#")
-    for k in range(1, len(dup)):
-        program = assert_assembles([head, dup[:k], dup[k:], head])
-        assert 3 in program._summaries()[0]     # the loop, after head
-
-
-def test_a_seam_inside_the_erase_loop_is_retabled():
-    erase = trm_erase(2).raw
-    for k in range(1, len(erase)):
-        program = assert_assembles([erase[:k], erase[k:]])
-        assert program._summaries()[0] == {1: (5, 2, 2, 2, 2, [], False)}
+@pytest.mark.parametrize("name,base", BASES)
+def test_a_program_built_again_is_not_parsed_again(name, base):
+    for build in (trm_moss_qhat, trm_moss_fixpoint, trm_kleene_fixpoint):
+        first = build(base)
+        blocks = first._summaries()
+        again = build(trm_parse(base.raw))
+        assert again is first and again._summaries() is blocks
 
 
 # ---------------------------------------------------------------------------
