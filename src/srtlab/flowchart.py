@@ -435,7 +435,8 @@ def _fault(steps, fuel, detail):
 
 #: The names generated code reads besides its own.
 _GLOBALS = {"Atom": Atom, "Pair": Pair, "NIL": NIL, "ONE": ONE,
-            "equal": equal, "EX": _Exhausted, "fault": _fault}
+            "equal": equal, "new": object.__new__, "EX": _Exhausted,
+            "fault": _fault}
 #: Control nesting at which a while or if moves to a function of its
 #: own: CPython compiles at most 20 nested loops and 100 indent levels.
 #: A while takes two levels (``if``, ``while True``): 2 * 16 + 2 at most.
@@ -455,6 +456,11 @@ class _Emitter:
     F)``, which runs the body from ``s`` steps under fuel ``F`` and
     returns ``(output value, steps)``.  Variables are locals ``v<i>``;
     expressions become three-address code on temporaries ``t<i>``.
+    An ``=`` with a quoted atom ``C[i]`` as an operand is one name test
+    against ``K<i>``, which ``make`` binds to ``C[i].name``, so no
+    atom's name is written into the source.  A ``cons`` allocates its
+    pair with ``new(Pair)`` and sets both fields, without
+    ``Pair.__init__``.
     Code without a fault or a loop has a static cost, so its steps
     gather in ``pending`` and reach ``s`` in one addition per branch.
     Every fault, univ call, loop test and the final read checks ``s``
@@ -473,6 +479,8 @@ class _Emitter:
         self.reflective = reflective
         self.locals = {}      # variable name -> local name
         self.consts = []      # quoted values, C[i] in the source
+        self.atoms = {}       # C[i] of a quoted atom -> K<i>, its name
+        self.names = {}       # each K<i> that the source reads -> C[i]
         self.lines = []
         self.pending = 0      # steps emitted but not yet added to s
         self.uses_self = False
@@ -500,7 +508,8 @@ class _Emitter:
             lines.append(f"        return {names}, s + {self.pending}")
             lines.append("        yield")  # unreached: makes a generator
             self.pending = 0
-        return "def make(C, SELF):\n" + "\n".join(lines) + "\n    return P\n"
+        names = "".join(f"    {k} = {c}.name\n" for k, c in self.names.items())
+        return "def make(C, SELF):\n" + names + "\n".join(lines) + "\n    return P\n"
 
     def _local(self, name):
         local = self.locals.get(name)
@@ -587,8 +596,17 @@ class _Emitter:
         self.pending = 0
 
     def _const(self, value):
+        i = len(self.consts)
         self.consts.append(value)
-        return f"C[{len(self.consts) - 1}]"
+        if type(value) is Atom:
+            self.atoms[f"C[{i}]"] = f"K{i}"
+        return f"C[{i}]"
+
+    def _name_test(self, x, atom):
+        """Condition for ``equal(x, atom)`` with ``atom`` a quoted atom."""
+        k = self.atoms[atom]
+        self.names[k] = atom
+        return f"type({x}) is Atom and {x}.name == {k}"
 
     def _expr(self, root, ind, dest=None):
         """Emit code that evaluates ``root`` in the cost model's order
@@ -639,6 +657,10 @@ class _Emitter:
                 if cls is Eq or cls is IsAtom:
                     if cls is IsAtom:
                         test = f"type({a}) is Atom"
+                    elif b in self.atoms:
+                        test = self._name_test(a, b)
+                    elif a in self.atoms:
+                        test = self._name_test(b, a)
                     else:  # sexpr.equal, with its fast paths inlined
                         test = (f"{a} is {b} or type({a}) is Atom and type({b})"
                                 f" is Atom and {a}.name == {b}.name or type({a})"
@@ -651,8 +673,10 @@ class _Emitter:
                     field = "head" if cls is Hd else "tail"
                     lines.append(
                         f"{ind}{t} = {a}.{field} if type({a}) is Pair else NIL")
-                elif cls is Cons:
-                    lines.append(f"{ind}{t} = Pair({a}, {b})")
+                elif cls is Cons:  # built apart when t is also an operand
+                    p = "pair" if t == a or t == b else t
+                    line = f"{ind}{p} = new(Pair); {p}.head = {a}; {p}.tail = {b}"
+                    lines.append(line if p == t else f"{line}; {t} = {p}")
                 else:  # UnivCall
                     self._check(ind)
                     lines.append(f"{ind}{t}, s = yield {a}, {b}, s")
@@ -668,11 +692,11 @@ def _make(source):
     """The ``make`` function of an ``_Emitter`` source text.
 
     Constants and the self text are arguments of ``make``, so programs
-    of one shape (up to variable names) share an entry.  This pays off
-    only when shapes repeat, as with a fixpoint or a Futamura stage
-    built afresh on each call.  A program of a new shape pays for
-    ``compile()``, which outweighs the faster execution on runs of less
-    than a few thousand steps.
+    of one shape (up to variable names and quoted atom names) share an
+    entry.  This pays off only when shapes repeat, as with a fixpoint or
+    a Futamura stage built afresh on each call.  A program of a new
+    shape pays for ``compile()``, which outweighs the faster execution
+    on runs of less than a few thousand steps.
     """
     namespace = dict(_GLOBALS)
     exec(compile(source, "<flowchart>", "exec"), namespace)

@@ -75,6 +75,41 @@ def eliminate_dead_code(program):
     return Program(program.inputs, body, program.output)
 
 
+_CLOSE = object()
+
+
+def _reads(cmd, reads):
+    """Enter in ``reads`` the variables read inside each while and if of
+    ``cmd``, by id.
+
+    One pass: a construct's set gathers the reads of its own tests and
+    assignments, and each inner construct's set once that is complete.
+    Below a construct's arms ``todo`` holds ``_CLOSE``, which ends it
+    and adds its set to that of the construct around it on ``frames``.
+    """
+    acc = set()  # the innermost open construct's set
+    todo, frames = [cmd], []
+    while todo:
+        cmd = todo.pop()
+        t = type(cmd)
+        if cmd is _CLOSE:
+            done, outer = frames.pop()
+            reads[id(done)] = acc
+            outer |= acc
+            acc = outer
+        elif t is Assign:
+            expr_vars(cmd.expr, acc)
+        elif t is Seq:
+            todo += (cmd.second, cmd.first)
+        elif t is While or t is If:
+            frames.append((cmd, acc))
+            todo.append(_CLOSE)
+            acc = expr_vars(cmd.test)
+            todo += (cmd.body,) if t is While else (cmd.then, cmd.orelse)
+        else:
+            raise TypeError(f"cannot sweep {cmd!r}")
+
+
 def _sweep(cmd, live):
     """The kept part of ``cmd`` (None if nothing) given ``live`` after it.
 
@@ -83,6 +118,7 @@ def _sweep(cmd, live):
     ``cmd`` from the parts that its sweep left on ``kept``.
     """
     kept = []
+    reads = {}  # filled by _reads at each outermost while or if
     todo = [(cmd, None, False)]
     while todo:
         cmd, start, join = todo.pop()
@@ -112,7 +148,9 @@ def _sweep(cmd, live):
                      (cmd.second, None, False))
         elif t is While or t is If:
             # every variable read inside the construct is live throughout it
-            inner = expr_vars(cmd, set(live))
+            if id(cmd) not in reads:
+                _reads(cmd, reads)
+            inner = live | reads[id(cmd)]
             arms = (cmd.body,) if t is While else (cmd.orelse, cmd.then)
             todo.append((cmd, inner, True))
             todo += ((arm, inner, False) for arm in arms)

@@ -242,13 +242,19 @@ def trm_erase(i):
     return TrmProgram(_ins(5, i) + _ins(3, 3) + _ins(4, 2) + _ins(4, 3))
 
 
+_WRITE_CODE = str.maketrans({"1": "1#", "#": "1##"})
+
+
 def write_code(text):
     """The program that, run on empty registers, leaves ``text`` in R1.
 
     One append instruction per symbol; this is what the write program
     outputs, and also how constants are embedded into generated code.
+    Any character outside ``{1,#}`` raises ``ValueError``.
     """
-    return "".join("1#" if ch == "1" else "1##" for ch in text)
+    if _ILLEGAL.search(text):
+        raise ValueError("write_code needs text over {1,#}")
+    return text.translate(_WRITE_CODE)
 
 
 def _emit_loop(src, dst):

@@ -1,17 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srtlab.cli import main
+from srtlab.experiments import EXPERIMENTS
 from srtlab.flowchart import decode, encode
 from srtlab.sexpr import parse, sexpr_print
-from srtlab.srt import demo_program, moss_fixpoint
+from srtlab.srt import DEMO_NAMES, demo_program, moss_fixpoint
+
+from proggen import random_loop_program
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -296,3 +304,82 @@ def test_demo_output_is_pinned(capsys, name, digest):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+
+# ---------------------------------------------------------------------------
+# generated command lines
+
+#: Each verb's positional arguments and its own options with candidate
+#: values.  FILE, MISSING, DIRECTORY and OUT stand for paths made in the test.
+FILE, MISSING, DIRECTORY, OUT = range(4)
+VALUES = ["a", "(a b)", "()", "1#1", "#", "(", "a)", ". a", "é"]
+VERBS = {
+    "run": ([FILE, VALUES], {
+        "--lang": ["flow", "trm"], "--mode": ["plain", "reflective"],
+        "--variant": ["standard", "fast-assign"], "--steps": None}),
+    "specialize": ([FILE, VALUES], {"--eliminate-dead-code": None}),
+    "fixpoint": ([FILE], {"--method": ["kleene", "moss"],
+                          "--lang": ["flow", "trm"]}),
+    "demo": ([[*(n.replace("_", "-") for n in DEMO_NAMES), "nope"]], {}),
+    "futamura": ([["target", "compiler", "cogen"], FILE], {}),
+    "experiment": ([sorted(EXPERIMENTS)], {
+        "--json": ["-", OUT, MISSING, DIRECTORY], "--n-max": ["1", "3", "0"]}),
+}
+NOISE = ["--steps", "--lang", "frobnicate", "-", "--", "1.5", "-1", "", MISSING,
+         DIRECTORY]
+PROGRAM_TEXT = "() ab*1#.;:=QUOTE univ while if cons hd tl atom? \né"
+programs = st.one_of(
+    st.integers(0, 10**6).map(
+        lambda seed: sexpr_print(encode(random_loop_program(random.Random(seed))))),
+    st.sampled_from(DEMO_NAMES).map(lambda n: sexpr_print(encode(demo_program(n)))),
+    st.text(alphabet="1#", max_size=40),
+).map(str.encode)
+junk = st.one_of(st.text(alphabet=PROGRAM_TEXT, max_size=40),
+                 st.text(alphabet="1# \n2", max_size=20)).map(str.encode)
+file_texts = programs | programs | junk | st.binary(max_size=16)
+
+
+@st.composite
+def command_lines(draw):
+    """A verb's argv, mostly well formed: positionals may be cut short,
+    options are drawn from the verb's own, and a noise entry may be
+    inserted anywhere."""
+    verb = draw(st.sampled_from(sorted(VERBS)))
+    positionals, options = VERBS[verb]
+    options = {"--seed": ["0", "7", "-1"], **options}
+    argv = [verb]
+    count = st.integers(0, len(positionals))
+    for choices in positionals[:draw(st.just(len(positionals)) | count)]:
+        argv.append(FILE if choices == FILE else draw(st.sampled_from(choices)))
+    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
+        argv.append(name)
+        if options[name] is not None:
+            argv.append(draw(st.sampled_from(options[name])))
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(NOISE)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(file_texts, min_size=1, max_size=2), command_lines(),
+       st.integers(0, 1), st.integers(1, 3000))
+def test_generated_command_lines_keep_the_exit_code_contract(files, argv, which,
+                                                             fuel):
+    # a --fuel last overrides any other, so every run stays short
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {MISSING: os.path.join(tmp, "missing"), DIRECTORY: tmp,
+                 OUT: os.path.join(tmp, "out.json")}
+        for i, data in enumerate(files):
+            with open(os.path.join(tmp, f"f{i}"), "wb") as fh:
+                fh.write(data)
+        paths[FILE] = os.path.join(tmp, f"f{which % len(files)}")
+        argv = [paths.get(arg, arg) if isinstance(arg, int) else arg
+                for arg in argv] + ["--fuel", str(fuel)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -6,7 +6,7 @@ from srtlab.build import QA, V, asg, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Quote, RunResult, SelfRef,
     Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, expr_vars,
-    _Emitter, is_tiny, rename_command, run,
+    _Emitter, _make, is_tiny, rename_command, run,
 )
 from srtlab.sexpr import equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code
@@ -154,6 +154,18 @@ def test_walkers_handle_any_depth(shape):
     for fixpoint in (kleene_fixpoint(p), moss_fixpoint(p)):
         again = decode(encode(fixpoint), allow_reserved=True)
         assert encode(again) is encode(fixpoint)
+
+
+def test_dead_code_elimination_handles_any_while_nesting():
+    n = 10**4
+    body = seq(asg("y", V("x")), asg("x", tl(V("x"))))  # y is dead
+    for _ in range(n):
+        body = wh(V("x"), body)
+    node = eliminate_dead_code(prog(("x",), body, "x")).body
+    for _ in range(n):
+        assert type(node) is While and sexpr_print(encode(node.test)) == "x"
+        node = node.body
+    assert sexpr_print(encode(node)) == "(:= x (tl x))"
 
 
 def test_run_first_projection():
@@ -359,3 +371,64 @@ def test_a_loop_test_ending_in_univ_is_not_checked_twice():
     for text in ("a", "(a b c)"):
         for fuel in range(1, 201):
             _agree(p, [parse(text)], fuel, "reflective")
+
+
+def _compare_with(name):
+    return prog(("x",), asg("out", Eq(V("x"), QA(name))), "out")
+
+
+def test_quoted_atom_names_share_one_compiled_shape():
+    first, second = _compare_with("apple"), _compare_with("pear")
+    source = _Emitter(first, False).source()
+    assert source == _Emitter(second, False).source()
+    assert "apple" not in source and "equal(" not in source
+    assert "K0 = C[0].name" in source and "v0.name == K0" in source
+    args = [parse("pear")]
+    run(first, args, 100)
+    before = _make.cache_info()
+    r = run(second, args, 100)
+    after = _make.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert sexpr_print(r.value) == "1"
+
+
+def test_a_quoted_pair_keeps_the_general_equality():
+    source = _Emitter(dec("((x) (:= out (= x (QUOTE (a b)))) out)"), False).source()
+    assert "equal(" in source and "K0" not in source
+    assert source != _Emitter(_compare_with("a"), False).source()
+
+
+NAMES = ["apple", "pear", "a'b", 'say"hi"', "back\\slash", "\\'\"", "()"]
+
+
+@pytest.mark.parametrize("text", [
+    "((x) (:= out (= x (QUOTE {k}))) out)",
+    "((x) (:= out (= (QUOTE {k}) x)) out)",
+    "((x) (if (= x (QUOTE {k})) (:= out (QUOTE yes)) (:= out x)) out)",
+    "((x) (while (= (hd x) (QUOTE {k})) (:= x (tl x))) x)",
+    "((x) (; (:= out (= (QUOTE {k}) (QUOTE apple))) "
+    "(:= out (cons out (= (QUOTE {k}) (QUOTE {k}))))) out)",
+])
+@pytest.mark.parametrize("k", NAMES)
+def test_equality_with_a_quoted_atom_agrees_with_reference(text, k):
+    p = dec(text.format(k=k))
+    if k != "()":
+        assert k not in _Emitter(p, False).source()
+    for x in [*NAMES, "(apple)", "(pear pear)"]:
+        for mode in ("plain", "reflective"):
+            for fuel in (1, 4, 7, 100):
+                _agree(p, [parse(x)], fuel, mode)
+
+
+@pytest.mark.parametrize("text", [
+    "((x) (:= x (cons x x)) x)",
+    "((x) (; (:= y (QUOTE b)) (; (:= x (cons y x)) (:= x (cons x y)))) x)",
+    "((x) (:= x (cons (hd x) (cons x (tl x)))) x)",
+    "((x) (while (atom? (hd x)) (:= x (cons x x))) x)",
+])
+def test_cons_into_one_of_its_operands_agrees_with_reference(text):
+    p = dec(text)
+    assert "Pair(" not in _Emitter(p, False).source().replace("new(Pair)", "")
+    for x in ("a", "(a b)", "((a) b)"):
+        for fuel in (3, 5, 100):
+            _agree(p, [parse(x)], fuel, "plain")

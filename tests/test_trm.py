@@ -109,6 +109,12 @@ def test_write_example():
     assert r.output == "1#"
 
 
+@pytest.mark.parametrize("text", ["a", "1#2", " ", "1\n", "#1#é", "0"])
+def test_write_code_rejects_other_characters(text):
+    with pytest.raises(ValueError, match=r"over \{1,#\}"):
+        write_code(text)
+
+
 def test_write_cost_is_linear():
     W = trm_write_program()
     per_symbol = []
