@@ -179,7 +179,7 @@ def _build_parser():
     p.add_argument("--mode", choices=("plain", "reflective"), default="plain",
                    help="reflective allows * and native univ; nested univ "
                         "calls use up to about 100 bytes per step of fuel "
-                        "(0.9 GB at the default fuel)")
+                        "(about 1 GB at the default fuel)")
     p.add_argument("--variant", choices=("standard", "fast-assign"),
                    default="standard")
     p.add_argument("--steps", action="store_true",

@@ -8,12 +8,13 @@ which runs the encoded program inside the same run and fuel budget.
 
 ``run`` compiles each program to one Python function (cached on the
 program) and charges each straight-line block of steps with one fuel
-check.  Native univ calls and deeply nested control run on an explicit
-stack of generators, so fuel and memory bound their depth, not the
-Python stack.  A univ call on the running program's own text runs the
-running program's function: that text is never decoded, as long as
-decoding it would give the program back (one input, and no variable
-named ``*`` or ``()``).
+check.  That function is a generator, which yields the generator of
+each native univ call and of each deeply nested control construct;
+``_walk`` runs them all on one explicit stack, so fuel and memory bound
+their depth, not the Python stack.  A univ call on the running
+program's own text runs the running program's function: that text is
+never decoded, as long as decoding it would give the program back (one
+input, and no variable named ``*`` or ``()``).
 
 Programs have a bijective s-expression concrete syntax, so programs are
 ordinary data:
@@ -453,8 +454,10 @@ class _Emitter:
 
     ``make(C, SELF)`` binds the quoted constants (read as ``C[i]``) and
     the self text and returns the generator function ``P(inputs..., s,
-    F)``, which runs the body from ``s`` steps under fuel ``F`` and
-    returns ``(output value, steps)``.  Variables are locals ``v<i>``;
+    F, U)``, which runs the body from ``s`` steps under fuel ``F`` and
+    returns ``(output value, steps)``.  ``U(q_enc, d, s)`` is the run's
+    univ: it returns the generator of the encoded program ``q_enc`` on
+    ``d``, or raises ``_Fault``.  Variables are locals ``v<i>``;
     expressions become three-address code on temporaries ``t<i>``.
     An ``=`` with a quoted atom ``C[i]`` as an operand is one name test
     against ``K<i>``, which ``make`` binds to ``C[i].name``, so no
@@ -469,9 +472,9 @@ class _Emitter:
     loop ``if test: while True: body; if not (test): break``, each copy
     of its test charged and checked with the steps before it.
 
-    ``P`` yields ``(q_enc, d, s)`` for each univ call and the generator
-    of each command outlined past control depth ``_MAX_NEST``; ``_drive``
-    runs those on an explicit stack.
+    ``P`` yields the generator of each univ call, ``yield U(a, b, s)``,
+    and of each command outlined past control depth ``_MAX_NEST``, and
+    receives the generator's return value; ``_walk`` runs them.
     """
 
     def __init__(self, program, reflective):
@@ -490,7 +493,7 @@ class _Emitter:
     def source(self):
         program, lines = self.program, self.lines
         params = [self._local(v) for v in program.inputs]
-        lines.append(f"    def P({', '.join(params + ['s', 'F'])}):")
+        lines.append(f"    def P({', '.join(params + ['s', 'F', 'U'])}):")
         init = len(lines)
         lines.append("")
         self._command(program.body, " " * 8)
@@ -503,7 +506,7 @@ class _Emitter:
             lines[init] = f"        {' = '.join(rest)} = NIL"
         for name, cmd in self.outlined:  # grows while it is walked
             names = ", ".join(self.all_locals)
-            lines.append(f"    def {name}({names}, s, F):")
+            lines.append(f"    def {name}({names}, s, F, U):")
             self._command(cmd, " " * 8)
             lines.append(f"        return {names}, s + {self.pending}")
             lines.append("        yield")  # unreached: makes a generator
@@ -582,7 +585,8 @@ class _Emitter:
         return test
 
     def _outline(self, cmd, ind):
-        """Call ``cmd`` as a function of its own, through ``_drive``."""
+        """Run ``cmd`` as a generator function of its own, ``B<i>``, which
+        takes and returns every variable, and yield its generator."""
         if self.all_locals is None:
             program = self.program
             for name in (program.output, *sorted(command_vars(program.body))):
@@ -592,7 +596,7 @@ class _Emitter:
         self.outlined.append((name, cmd))
         names = ", ".join(self.all_locals)
         self.lines.append(
-            f"{ind}{names}, s = yield {name}({names}, s + {self.pending}, F)")
+            f"{ind}{names}, s = yield {name}({names}, s + {self.pending}, F, U)")
         self.pending = 0
 
     def _const(self, value):
@@ -679,7 +683,7 @@ class _Emitter:
                     lines.append(line if p == t else f"{line}; {t} = {p}")
                 else:  # UnivCall
                     self._check(ind)
-                    lines.append(f"{ind}{t}, s = yield {a}, {b}, s")
+                    lines.append(f"{ind}{t}, s = yield U({a}, {b}, s)")
                 values.append(t)
         value = values.pop()
         if dest is _TEST:
@@ -724,38 +728,25 @@ def _instance(program, reflective):
     return entry
 
 
-def _drive(top, fuel, programs):
-    """Run a compiled program's generator and every callee it yields on
-    one explicit stack, so fuel and memory bound univ nesting, not
-    Python's recursion limit.  ``programs`` maps ``id(q_enc)`` to
-    ``(q_enc, compiled function)``; ``run`` seeds it with the running
-    program's own text, and each other distinct encoded program is
-    decoded and compiled once per run."""
-    stack = [top]
+def _walk(gen):
+    """Run ``gen`` and every generator it yields on one explicit stack,
+    and return what ``gen`` returns.  A generator that yields another
+    is resumed with the other's return value.  So memory, not Python's
+    recursion limit, bounds how deep the yields nest."""
+    callers = []
     reply = None
     while True:
         try:
-            call = stack[-1].send(reply)
+            call = gen.send(reply)
         except StopIteration as stop:
-            stack.pop()
-            if not stack:
+            if not callers:
                 return stop.value
+            gen = callers.pop()
             reply = stop.value
-            continue
-        if type(call) is tuple:  # univ: (q_enc, d, steps)
-            q_enc, d, steps = call
-            known = programs.get(id(q_enc))
-            if known is None:
-                try:
-                    q = decode(q_enc, allow_reserved=True)
-                except DecodeError as exc:
-                    raise _Fault(f"univ on a non-program: {exc}", steps) from None
-                if len(q.inputs) != 1:
-                    raise _Fault("univ needs a one-input program", steps)
-                known = programs[id(q_enc)] = (q_enc, _instance(q, True)[0])
-            call = known[1](d, steps, fuel)
-        stack.append(call)
-        reply = None
+        else:
+            callers.append(gen)
+            gen = call
+            reply = None
 
 
 def run(program, args, fuel=10**7, mode="plain"):
@@ -776,9 +767,9 @@ def run(program, args, fuel=10**7, mode="plain"):
     compile ...")`` before any step runs; no decoded program has one.
 
     Memory grows with univ nesting: each pending univ call holds one
-    generator frame of about 280 bytes plus 8 per variable of the
+    generator frame of about 300 bytes plus 8 per variable of the
     called program, and costs at least 3 steps.  So
-    ``((d) (:= out (univ * d)) out)`` peaks at about 0.9 GB before it
+    ``((d) (:= out (univ * d)) out)`` peaks at about 1 GB before it
     exhausts the default fuel.
     """
     if len(args) != len(program.inputs):
@@ -789,9 +780,25 @@ def run(program, args, fuel=10**7, mode="plain"):
     if mode not in ("plain", "reflective"):
         raise ValueError(f"unknown mode {mode!r}")
     fn, own = _instance(program, mode == "reflective")
+    # id(q_enc) -> (q_enc, compiled function): holding q_enc pins its id
+    programs = {} if own is None else {id(own): (own, fn)}
+
+    def U(q_enc, d, steps):
+        """This run's univ: the generator of ``q_enc`` run on ``d`` from
+        ``steps``.  Each distinct text is decoded and compiled once."""
+        known = programs.get(id(q_enc))
+        if known is None:
+            try:
+                q = decode(q_enc, allow_reserved=True)
+            except DecodeError as exc:
+                raise _Fault(f"univ on a non-program: {exc}", steps) from None
+            if len(q.inputs) != 1:
+                raise _Fault("univ needs a one-input program", steps)
+            known = programs[id(q_enc)] = (q_enc, _instance(q, True)[0])
+        return known[1](d, steps, fuel, U)
+
     try:
-        value, steps = _drive(fn(*args, 0, fuel), fuel,
-                              {} if own is None else {id(own): (own, fn)})
+        value, steps = _walk(fn(*args, 0, fuel, U))
     except _Exhausted:
         return RunResult(None, fuel, RunResult.FUEL)
     except _Fault as f:

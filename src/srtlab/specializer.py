@@ -11,7 +11,7 @@ import functools
 from .build import QA, V, asg, hd, lst, prog, seq, tl
 from .flowchart import (
     Assign, If, Program, Quote, SelfRef, Seq, UnivCall, Var, While, _nodes,
-    expr_vars,
+    _walk, expr_vars,
 )
 from .sexpr import NIL
 
@@ -69,94 +69,59 @@ def eliminate_dead_code(program):
     reads ``*``, even when dead: either can fault, and univ can also
     run forever.
     """
-    body = _sweep(program.body, {program.output})
+    reads = {}
+    _walk(_reads(program.body, set(), reads))
+    body = _walk(_sweep(program.body, {program.output}, reads))
     if body is None:
         body = Assign(program.output, Var(program.output))
     return Program(program.inputs, body, program.output)
 
 
-_CLOSE = object()
+def _reads(cmd, acc, reads):
+    """Add to ``acc`` the variables read inside ``cmd``, and enter in
+    ``reads`` the set read inside each while and if of ``cmd``, by id."""
+    t = type(cmd)
+    if t is Assign:
+        expr_vars(cmd.expr, acc)
+    elif t is Seq:
+        yield _reads(cmd.first, acc, reads)
+        yield _reads(cmd.second, acc, reads)
+    elif t is While or t is If:
+        inner = reads[id(cmd)] = expr_vars(cmd.test)
+        for arm in (cmd.body,) if t is While else (cmd.then, cmd.orelse):
+            yield _reads(arm, inner, reads)
+        acc |= inner
+    else:
+        raise TypeError(f"cannot sweep {cmd!r}")
 
 
-def _reads(cmd, reads):
-    """Enter in ``reads`` the variables read inside each while and if of
-    ``cmd``, by id.
-
-    One pass: a construct's set gathers the reads of its own tests and
-    assignments, and each inner construct's set once that is complete.
-    Below a construct's arms ``todo`` holds ``_CLOSE``, which ends it
-    and adds its set to that of the construct around it on ``frames``.
-    """
-    acc = set()  # the innermost open construct's set
-    todo, frames = [cmd], []
-    while todo:
-        cmd = todo.pop()
-        t = type(cmd)
-        if cmd is _CLOSE:
-            done, outer = frames.pop()
-            reads[id(done)] = acc
-            outer |= acc
-            acc = outer
-        elif t is Assign:
-            expr_vars(cmd.expr, acc)
-        elif t is Seq:
-            todo += (cmd.second, cmd.first)
-        elif t is While or t is If:
-            frames.append((cmd, acc))
-            todo.append(_CLOSE)
-            acc = expr_vars(cmd.test)
-            todo += (cmd.body,) if t is While else (cmd.then, cmd.orelse)
-        else:
-            raise TypeError(f"cannot sweep {cmd!r}")
-
-
-def _sweep(cmd, live):
-    """The kept part of ``cmd`` (None if nothing) given ``live`` after it.
-
-    A task (cmd, start, join) on ``todo`` resets ``live`` to ``start``
-    unless that is None, then sweeps ``cmd``, or with ``join`` rebuilds
-    ``cmd`` from the parts that its sweep left on ``kept``.
-    """
-    kept = []
-    reads = {}  # filled by _reads at each outermost while or if
-    todo = [(cmd, None, False)]
-    while todo:
-        cmd, start, join = todo.pop()
-        live = live if start is None else start
-        t = type(cmd)
-        if join and t is Seq:
-            first, second = kept.pop(), kept.pop()
-            kept.append(second if first is None else first if second is None
-                        else Seq(first, second))
-        elif join and t is While:
-            body = kept.pop()
-            kept.append(cmd if body is cmd.body or body is None
-                        else While(cmd.test, body))
-        elif join:
-            # the construct itself is always kept (its test may loop via univ);
-            # fully dead arms shrink to a harmless reserved-variable assignment
-            orelse, then = kept.pop() or _noop(), kept.pop() or _noop()
-            kept.append(cmd if then is cmd.then and orelse is cmd.orelse
-                        else If(cmd.test, then, orelse))
-        elif t is Assign and (cmd.var in live or _may_fault(cmd.expr)):
-            live = expr_vars(cmd.expr, live - {cmd.var})
-            kept.append(cmd)
-        elif t is Assign:
-            kept.append(None)
-        elif t is Seq:
-            todo += ((cmd, None, True), (cmd.first, None, False),
-                     (cmd.second, None, False))
-        elif t is While or t is If:
-            # every variable read inside the construct is live throughout it
-            if id(cmd) not in reads:
-                _reads(cmd, reads)
-            inner = live | reads[id(cmd)]
-            arms = (cmd.body,) if t is While else (cmd.orelse, cmd.then)
-            todo.append((cmd, inner, True))
-            todo += ((arm, inner, False) for arm in arms)
-        else:
-            raise TypeError(f"cannot sweep {cmd!r}")
-    return kept.pop()
+def _sweep(cmd, live, reads):
+    """The kept part of ``cmd`` (None if nothing), given the variables
+    ``live`` after it; leaves in ``live`` the variables live before it.
+    Every variable read inside a while or if is live throughout it.
+    ``_reads`` has run on ``cmd``, so it holds nothing but commands."""
+    t = type(cmd)
+    if t is Assign:
+        if cmd.var not in live and not _may_fault(cmd.expr):
+            return None
+        live.discard(cmd.var)
+        expr_vars(cmd.expr, live)
+        return cmd
+    if t is Seq:
+        second = yield _sweep(cmd.second, live, reads)
+        first = yield _sweep(cmd.first, live, reads)
+        return second if first is None else first if second is None \
+            else Seq(first, second)
+    live |= reads[id(cmd)]
+    if t is While:
+        body = yield _sweep(cmd.body, set(live), reads)
+        return cmd if body is cmd.body or body is None else While(cmd.test, body)
+    # the construct itself is always kept (its test may loop via univ);
+    # fully dead arms shrink to a harmless reserved-variable assignment
+    then = (yield _sweep(cmd.then, set(live), reads)) or _noop()
+    orelse = (yield _sweep(cmd.orelse, set(live), reads)) or _noop()
+    return cmd if then is cmd.then and orelse is cmd.orelse \
+        else If(cmd.test, then, orelse)
 
 
 def _may_fault(expr):

@@ -100,6 +100,18 @@ def test_trm_lane(capsys, tmp_path):
     assert out2.strip() == out.strip()
 
 
+@pytest.mark.parametrize("text, argv, err", [
+    ("1####", [], "abnormal_halt after 1 steps\n"),
+    ("1###1####", ["--fuel", "50"], "fuel_exhausted after 50 steps\n"),
+    ("1#", ["a1"], "error: 1# arguments must be over {1,#}: 'a1'\n"),
+], ids=["abnormal-halt", "fuel-exhausted", "bad-argument"])
+def test_trm_run_failures_exit_1(capsys, tmp_path, text, argv, err):
+    path = tmp_path / "p.1#"
+    path.write_text(text + "\n")
+    code, out, got = run_cli(capsys, "run", str(path), *argv, "--lang", "trm")
+    assert (code, out, got) == (1, "", err)
+
+
 def test_flow_moss_fixpoint_honours_fuel(capsys, proj1_file):
     code, out, err = run_cli(capsys, "fixpoint", proj1_file, "--method",
                              "moss", "--fuel", "5")

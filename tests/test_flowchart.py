@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from srtlab.build import QA, V, asg, hd, iff, prog, seq, tl, univ, wh
+from srtlab.build import QA, V, asg, cons, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Quote, RunResult, SelfRef,
     Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, expr_vars,
     _Emitter, _make, is_tiny, rename_command, run,
 )
-from srtlab.sexpr import equal, parse, sexpr_print, to_unary
+from srtlab.sexpr import NIL, equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code
 from srtlab.srt import kleene_fixpoint, moss_fixpoint
+from srtlab.trm import trm_parse, trm_run
 
 from proggen import random_inputs, random_tiny_program
 from reference import _agree, dec
@@ -168,6 +169,16 @@ def test_dead_code_elimination_handles_any_while_nesting():
     assert sexpr_print(encode(node)) == "(:= x (tl x))"
 
 
+def test_dead_code_elimination_handles_any_straight_line_width():
+    # every x<i> stays live to the start, so the live set grows to n + 1
+    n = 2 * 10**4
+    kept = [asg("out", cons(V(f"x{i}"), V("out"))) for i in range(n)]
+    dead = [asg(f"z{i}", V("out")) for i in range(n)]
+    p = prog(("x0",), seq(*[c for pair in zip(dead, kept) for c in pair]), "out")
+    want = prog(("x0",), seq(*kept), "out")
+    assert sexpr_print(encode(eliminate_dead_code(p))) == sexpr_print(encode(want))
+
+
 def test_run_first_projection():
     r = run(dec("((q d) (:= out q) out)"), [parse("a"), parse("b")], 100)
     assert r.halted and sexpr_print(r.value) == "a"
@@ -318,11 +329,25 @@ def test_misplaced_node_is_rejected_before_running(body, mode):
         run(p, [parse("a")], 100, mode)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: run(dec("((d) (:= out d) out)"), [NIL], 0), "fuel must be positive"),
+    (lambda: run(dec("((d) (:= out d) out)"), [NIL], 10, "weird"),
+     "unknown mode 'weird'"),
+    (lambda: trm_run(trm_parse("1#"), [], 0), "fuel must be positive"),
+    (lambda: trm_run(trm_parse("1#"), [], 10, "fast"), "unknown variant 'fast'"),
+], ids=["run-fuel", "run-mode", "trm_run-fuel", "trm_run-variant"])
+def test_entry_points_reject_bad_settings(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("walk", [
     lambda body: is_tiny(prog(("d",), body, "x")),
     command_vars,
     lambda body: rename_command(body, {"d": "e"}),
-], ids=["is_tiny", "command_vars", "rename_command"])
+    lambda body: eliminate_dead_code(prog(("d",), body, "x")),
+], ids=["is_tiny", "command_vars", "rename_command", "eliminate_dead_code"])
 def test_walkers_reject_a_value_that_is_no_node(walk):
     with pytest.raises(TypeError, match="^cannot compile 'junk'"):
         walk(seq(asg("y", V("d")), Assign("x", "junk")))

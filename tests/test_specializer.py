@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from srtlab.build import V, asg, hd, iff, prog, seq, wh
 from srtlab.flowchart import decode, encode, is_tiny, run
 from srtlab.sexpr import dag_size, equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code, s11_program, specialize
@@ -171,6 +172,34 @@ def test_dce_shrinks_a_dead_branch_arm():
     for text in ["a", "(a b)", "()"]:
         d = parse(text)
         assert equal(run(p, [d], FUEL).value, run(opt, [d], FUEL).value)
+
+
+@pytest.mark.parametrize("text, want", [
+    # an assignment overwritten before any read is dead
+    ("((x) (; (:= y x) (; (:= y (hd x)) (:= out y))) out)",
+     "((x) (; (:= y (hd x)) (:= out y)) out)"),
+    # a loop or branch arm that may not run keeps the value before it live
+    ("((x) (; (:= y x) (; (while x (; (:= y (hd x)) (:= x (tl x)))) (:= out y))) out)",
+     None),
+    ("((x) (; (:= y x) (; (if x (:= y (hd x)) (:= z x)) (:= out y))) out)",
+     "((x) (; (:= y x) (; (if x (:= y (hd x)) (:= %dead (QUOTE ()))) (:= out y))) out)"),
+    ("((x) (; (:= y x) (; (if x (:= z x) (:= y (hd x))) (:= out y))) out)",
+     "((x) (; (:= y x) (; (if x (:= %dead (QUOTE ())) (:= y (hd x))) (:= out y))) out)"),
+])
+def test_dce_liveness_pins(text, want):
+    opt = eliminate_dead_code(dec(text))
+    assert sexpr_print(encode(opt)) == (text if want is None else want)
+
+
+@pytest.mark.parametrize("body", [
+    lambda: V("d"),
+    lambda: seq(asg("x", V("d")), V("d")),
+    lambda: wh(V("d"), hd(V("d"))),
+    lambda: iff(V("d"), asg("x", V("d")), V("d")),
+], ids=["body", "in-sequence", "while-body", "if-arm"])
+def test_dce_rejects_an_expression_in_command_position(body):
+    with pytest.raises(TypeError, match="^cannot sweep "):
+        eliminate_dead_code(prog(("d",), body(), "x"))
 
 
 def test_dce_preserves_semantics_on_random_loop_programs():
