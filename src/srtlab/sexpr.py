@@ -10,11 +10,11 @@ Concrete text format: ``(a b c)`` abbreviates right-nested pairs ending
 in the empty-list atom ``()``; improper tails are written with a dot,
 ``(a . b)``.
 
-The codec is iterative, so depth is bounded by memory alone: ``parse``
-tokenises with one regular expression (character offsets are computed
-only for a ``ParseError``), and ``sexpr_print`` and ``measure`` walk
-each list's tail chain in a loop, keeping a stack only for nested list
-heads.
+The codec is iterative, so depth is bounded by memory alone.  ``parse``
+tokenises with C string methods and builds its nodes without calling
+``__init__``; character offsets are computed only for a ``ParseError``.
+``sexpr_print`` and ``measure`` walk each list's tail chain in a loop,
+keeping a stack only for nested list heads.
 """
 
 import re
@@ -80,6 +80,9 @@ class ParseError(ValueError):
         self.position = position
 
 
+#: The tokens that ``parse`` splits out, as a regular expression.  Only
+#: ``_error`` uses it, to find a token's character offset; ``\s`` and
+#: ``str.split()`` both split on exactly the ``str.isspace`` characters.
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
@@ -92,14 +95,21 @@ def _error(text, message, index):
 def parse(text):
     """Parse one s-expression; reject leftover tokens.
 
-    Iterative: ``values``, ``dot`` (the index of a dotted tail) and
-    ``start`` (the token index of its '(') describe the innermost open
-    list, ``outer`` the others.  Every token becomes a fresh atom (a
-    literal ``()`` too); every list ends in the shared ``NIL``.
+    The tokens are the parentheses and the maximal runs of other
+    non-whitespace characters: the text split on whitespace once each
+    parenthesis is padded with spaces.  Iterative: ``values``, ``dot``
+    (the index of a dotted tail) and ``start`` (the token index of its
+    '(') describe the innermost open list, ``outer`` the others.  Every
+    token becomes a fresh atom (a literal ``()`` too); every list ends
+    in the shared ``NIL``.  Raises ``TypeError`` if ``text`` is not a
+    ``str``.
     """
-    tokens = _TOKEN.findall(text)
+    if not isinstance(text, str):
+        raise TypeError(f"parse expects a str, not {type(text).__name__}")
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ParseError("empty input", 0)
+    new = object.__new__
     last = len(tokens) - 1
     outer = []
     values = dot = start = None  # values is None outside every list
@@ -111,7 +121,8 @@ def parse(text):
                 outer.append((values, dot, start))
                 values, dot, start = [], None, pos
                 continue
-            value = Atom(tok)
+            value = new(Atom)
+            value.name = tok
         elif values is None:
             raise _error(text, "unbalanced ')'" if tok == ")" else "unexpected '.'",
                          pos)
@@ -124,11 +135,15 @@ def parse(text):
             continue
         else:
             if not values:
-                value = Atom("()")
+                value = new(Atom)
+                value.name = "()"
             else:
                 value = NIL if dot is None else values.pop()
                 for element in reversed(values):
-                    value = Pair(element, value)
+                    pair = new(Pair)
+                    pair.head = element
+                    pair.tail = value
+                    value = pair
             values, dot, start = outer.pop()
         if values is None:
             if pos != last:

@@ -79,13 +79,19 @@ def eliminate_dead_code(program):
 
 def _reads(cmd, acc, reads):
     """Add to ``acc`` the variables read inside ``cmd``, and enter in
-    ``reads`` the set read inside each while and if of ``cmd``, by id."""
+    ``reads`` the set read inside each while and if of ``cmd``, by id.
+    A ``;`` chain's right-nested spine is walked in a loop, so a long
+    chain holds one generator, not one per ``;``."""
+    while type(cmd) is Seq:
+        first = cmd.first
+        if type(first) is Assign:
+            expr_vars(first.expr, acc)
+        else:
+            yield _reads(first, acc, reads)
+        cmd = cmd.second
     t = type(cmd)
     if t is Assign:
         expr_vars(cmd.expr, acc)
-    elif t is Seq:
-        yield _reads(cmd.first, acc, reads)
-        yield _reads(cmd.second, acc, reads)
     elif t is While or t is If:
         inner = reads[id(cmd)] = expr_vars(cmd.test)
         for arm in (cmd.body,) if t is While else (cmd.then, cmd.orelse):
@@ -99,19 +105,24 @@ def _sweep(cmd, live, reads):
     """The kept part of ``cmd`` (None if nothing), given the variables
     ``live`` after it; leaves in ``live`` the variables live before it.
     Every variable read inside a while or if is live throughout it.
-    ``_reads`` has run on ``cmd``, so it holds nothing but commands."""
+    ``_reads`` has run on ``cmd``, so it holds nothing but commands.
+    A ``;`` chain's right-nested spine is collected in a list and swept
+    back from its end, with a fresh ``;`` wherever both parts are kept."""
     t = type(cmd)
     if t is Assign:
-        if cmd.var not in live and not _may_fault(cmd.expr):
-            return None
-        live.discard(cmd.var)
-        expr_vars(cmd.expr, live)
-        return cmd
+        return _kept(cmd, live)
     if t is Seq:
-        second = yield _sweep(cmd.second, live, reads)
-        first = yield _sweep(cmd.first, live, reads)
-        return second if first is None else first if second is None \
-            else Seq(first, second)
+        spine = []
+        while type(cmd) is Seq:
+            spine.append(cmd.first)
+            cmd = cmd.second
+        kept = yield _sweep(cmd, live, reads)
+        for part in reversed(spine):
+            first = _kept(part, live) if type(part) is Assign \
+                else (yield _sweep(part, live, reads))
+            kept = kept if first is None else first if kept is None \
+                else Seq(first, kept)
+        return kept
     live |= reads[id(cmd)]
     if t is While:
         body = yield _sweep(cmd.body, set(live), reads)
@@ -122,6 +133,15 @@ def _sweep(cmd, live, reads):
     orelse = (yield _sweep(cmd.orelse, set(live), reads)) or _noop()
     return cmd if then is cmd.then and orelse is cmd.orelse \
         else If(cmd.test, then, orelse)
+
+
+def _kept(cmd, live):
+    """An assignment ``cmd`` if it is kept, else None; as ``_sweep``."""
+    if cmd.var not in live and not _may_fault(cmd.expr):
+        return None
+    live.discard(cmd.var)
+    expr_vars(cmd.expr, live)
+    return cmd
 
 
 def _may_fault(expr):

@@ -235,6 +235,27 @@ def test_regex_whitespace_is_str_isspace():
     assert "".join(re.findall(r"\s", text)) == "".join(filter(str.isspace, text))
 
 
+# ``parse`` splits its tokens with ``str.split``, ``_error`` finds their
+# offsets with a regular expression: the two must cut every text alike
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("w", WHITESPACE, ids=lambda w: f"U+{ord(w):04X}")
+def test_token_offsets_agree_with_the_split_on_every_whitespace(w):
+    text = f"(a{w}b){w}c"
+    with pytest.raises(ParseError, match="^stray tokens after expression") as info:
+        parse(text)
+    assert info.value.position == text.index("c")
+    assert sexpr_print(parse(f"{w}({w}a{w}.{w}b){w}")) == "(a . b)"
+
+
+@pytest.mark.parametrize("text", [None, 3, ["(", ")"], b"(a)"],
+                         ids=["None", "int", "list", "bytes"])
+def test_parse_rejects_a_non_str_with_type_error(text):
+    with pytest.raises(TypeError):
+        parse(text)
+
+
 # ---------------------------------------------------------------------------
 # the printer and measure against ``ref_print`` and ``ref_measure``, on
 # random DAGs
