@@ -70,7 +70,7 @@ def eliminate_dead_code(program):
     run forever.
     """
     reads = {}
-    _walk(_reads(program.body, set(), reads))
+    _walk(_reads(program.body, None, reads))
     body = _walk(_sweep(program.body, {program.output}, reads))
     if body is None:
         body = Assign(program.output, Var(program.output))
@@ -80,23 +80,27 @@ def eliminate_dead_code(program):
 def _reads(cmd, acc, reads):
     """Add to ``acc`` the variables read inside ``cmd``, and enter in
     ``reads`` the set read inside each while and if of ``cmd``, by id.
-    A ``;`` chain's right-nested spine is walked in a loop, so a long
-    chain holds one generator, not one per ``;``."""
+    ``acc`` is None outside every while and if, where nothing reads the
+    collected set, so nothing is collected there.  A ``;`` chain's
+    right-nested spine is walked in a loop, so a long chain holds one
+    generator, not one per ``;``."""
     while type(cmd) is Seq:
         first = cmd.first
-        if type(first) is Assign:
-            expr_vars(first.expr, acc)
-        else:
+        if type(first) is not Assign:
             yield _reads(first, acc, reads)
+        elif acc is not None:
+            expr_vars(first.expr, acc)
         cmd = cmd.second
     t = type(cmd)
     if t is Assign:
-        expr_vars(cmd.expr, acc)
+        if acc is not None:
+            expr_vars(cmd.expr, acc)
     elif t is While or t is If:
         inner = reads[id(cmd)] = expr_vars(cmd.test)
         for arm in (cmd.body,) if t is While else (cmd.then, cmd.orelse):
             yield _reads(arm, inner, reads)
-        acc |= inner
+        if acc is not None:
+            acc |= inner
     else:
         raise TypeError(f"cannot sweep {cmd!r}")
 

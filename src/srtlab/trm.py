@@ -27,18 +27,20 @@ the exact step count of running them one instruction at a time:
 
   * a loop of that shape whose bodies of h (on #) and o (on 1) appends
     never name its case register: on a register holding a 1s and b #s
-    it costs (o+3)a + (h+2)b + 2 steps, and its effect is one
-    ``str.translate`` of that register's text into each register the
-    bodies name (``trm_erase``'s loop, at 2a + 2b + 2, is summed up too);
+    it costs (o+3)a + (h+2)b + 2 steps, and its effect is one image of
+    that register's text appended to each register the bodies name: the
+    text with each 1 and each # replaced by what the bodies append to
+    that register on it (``trm_erase``'s loop, at 2a + 2b + 2, is summed
+    up too);
   * a write run of two or more appends: one step each.
 
 The table of these blocks is built once per program, keyed by start pc.
 A loop's summary depends only on its own instructions, so it is cached
 by them (up to 1024 shapes): every fixpoint repeats the same few toolkit
-loops, and a new program's table reuses their translate tables.  The
-runner steps one instruction at a time instead when a block costs more
-than the fuel left, or when it ends past the set-up boundary, so
-exhaustion and ``setup_steps`` stay exact.
+loops, and a new program's table reuses their images.  The runner
+steps one instruction at a time instead when a block costs more than
+the fuel left, or when it ends past the set-up boundary, so exhaustion
+and ``setup_steps`` stay exact.
 
 Both fixpoints and ``trm_moss_qhat`` look their program up by its whole
 text among the 64 most recently built (``_program``).  A fixpoint built
@@ -47,17 +49,18 @@ is neither re-tokenised nor re-tabled; a new base's texts are parsed
 whole, and a text that fails to parse raises as ``TrmProgram`` does.
 
 Each register is a deque of non-empty text chunks.  A summed-up loop
-reads its register with one join and appends each translation as one
-chunk; a write run appends its text as one chunk; a stepped append adds
-a one-symbol chunk.  A stepped case pops one chunk and, if it is longer
-than a symbol, pushes the rest back one symbol a chunk, so each symbol
-is split out at most once and no run goes quadratic.  No chunk is
-empty, so an empty deque is an empty register.
+reads its register with one join and appends each image as one chunk
+(``_image``: the text itself for a move or copy, else three
+``str.replace`` passes); a write run appends its text as one chunk; a
+stepped append adds a one-symbol chunk.  A stepped case pops one chunk
+and, if it is longer than a symbol, pushes the rest back one symbol a
+chunk, so each symbol is split out at most once and no run goes
+quadratic.  No chunk is empty, so an empty deque is an empty register.
 
 The ``fast_assign`` variant is a cost rule on the same table: a move
-block between registers 1-8 costs one step and runs atomically.  This
-changes cost, never text or behaviour, so the same program can be timed
-under both variants.
+block between registers 1-8 costs one step and runs atomically, so the
+runner does not count the 1s it moves.  This changes cost, never text
+or behaviour, so the same program can be timed under both variants.
 """
 
 import functools
@@ -77,6 +80,24 @@ __all__ = [
 
 _ILLEGAL = re.compile(r"[^1#]")
 _SYMBOLS = bytes.maketrans(b"\x01\x02", b"1#")   # append opcode -> symbol
+
+
+def _illegal(text):
+    """The match of the first character of ``text`` outside {1,#}, or None.
+    Two C-speed counts decide; the regex runs only to find the culprit,
+    and raises ``TypeError`` on anything but a str."""
+    if type(text) is str and text.count("1") + text.count("#") == len(text):
+        return None
+    return _ILLEGAL.search(text)
+
+
+def _image(text, one, hash_):
+    """``text``, over {1,#}, with each 1 replaced by ``one`` and each # by
+    ``hash_``, both over {1,#}: the text itself for the identity image,
+    else three C-speed passes through a NUL that no operand holds."""
+    if one == "1" and hash_ == "#":
+        return text
+    return text.replace("1", "\0").replace("#", hash_).replace("\0", one)
 
 
 class TrmParseError(ValueError):
@@ -121,7 +142,7 @@ class TrmProgram:
     __slots__ = ("raw", "instrs", "_blocks")
 
     def __init__(self, raw):
-        bad = _ILLEGAL.search(raw)
+        bad = _illegal(raw)
         if bad is not None:
             raise TrmParseError(f"illegal character {bad.group()!r}",
                                 bad.start())
@@ -184,8 +205,9 @@ def _appends(body):
 def _loop_block(loop):
     """The summary of ``loop``, the instructions of one ``_loop`` shape
     whose bounds the caller has checked, or None: (r, fixed cost, cost per
-    1, cost per #, ((n, translate table), ...), whether it is a move between
-    registers 1-8)."""
+    1, cost per #, ((n, image of 1, image of #), ...), whether it is a move
+    between registers 1-8).  The images of a register are what the bodies
+    append to it on a 1 and on a #; ``_image`` applies them."""
     r = loop[0][1]
     h = loop[2][1] - 2
     o = len(loop) - 5 - h
@@ -195,9 +217,8 @@ def _loop_block(loop):
             or any(op > 2 or n == r for op, n in on_hash + on_one)):
         return None
     hashes, ones = dict(_appends(on_hash)), dict(_appends(on_one))
-    outs = tuple(
-        (n, str.maketrans({"1": ones.get(n, ""), "#": hashes.get(n, "")}))
-        for n in hashes.keys() | ones.keys())
+    outs = tuple((n, ones.get(n, ""), hashes.get(n, ""))
+                 for n in hashes.keys() | ones.keys())
     move = (h == o == 1 and on_hash[0][0] == 2 and on_one[0][0] == 1
             and on_hash[0][1] == on_one[0][1] <= 8 and r <= 8)
     return (r, 2, o + 3, h + 2, outs, move)
@@ -242,9 +263,6 @@ def trm_erase(i):
     return TrmProgram(_ins(5, i) + _ins(3, 3) + _ins(4, 2) + _ins(4, 3))
 
 
-_WRITE_CODE = str.maketrans({"1": "1#", "#": "1##"})
-
-
 def write_code(text):
     """The program that, run on empty registers, leaves ``text`` in R1.
 
@@ -252,9 +270,9 @@ def write_code(text):
     outputs, and also how constants are embedded into generated code.
     Any character outside ``{1,#}`` raises ``ValueError``.
     """
-    if _ILLEGAL.search(text):
+    if _illegal(text):
         raise ValueError("write_code needs text over {1,#}")
-    return text.translate(_WRITE_CODE)
+    return _image(text, "1#", "1##")
 
 
 def _emit_loop(src, dst):
@@ -355,18 +373,20 @@ def trm_kleene_fixpoint(p, fuel=10**7):
     p(s11(q, q), d): stash d in R4, duplicate q, run the specialiser
     body, restore d, run p.  Then p* = run(s11, [p~, p~]).
     """
-    s11 = trm_s11_program()
-    p_tilde = (
-        _move(2, 4)
-        + _copy_loop() + _move(3, 1)    # R1 = q, R2 = q
-        + s11.raw
-        + _move(4, 2)
-        + p.raw
-    )
-    result = trm_run(s11, [p_tilde, p_tilde], fuel)
+    p_tilde = _p_tilde_head() + p.raw
+    result = trm_run(trm_s11_program(), [p_tilde, p_tilde], fuel)
     if result.status != "halted":
         raise RuntimeError(f"specialiser run failed: {result.status}")
     return _program(result.output)
+
+
+@functools.cache
+def _p_tilde_head():
+    """Every intermediate program's text before p.raw, built once."""
+    return (_move(2, 4)
+            + _copy_loop() + _move(3, 1)    # R1 = q, R2 = q
+            + trm_s11_program().raw
+            + _move(4, 2))
 
 
 def setup_boundary(pstar, p):
@@ -420,7 +440,7 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     for n in named:
         regs[n] = deque()
     for reg, text in zip(regs[1:], inputs):
-        if _ILLEGAL.search(text):
+        if _illegal(text):
             raise ValueError("register contents must be over {1,#}")
         if text:
             reg.append(text)
@@ -441,16 +461,18 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
             atomic = fast and move
             if end <= mark or atomic:
                 text = "".join(regs[r])     # R0, always empty, for a write run
-                ones = text.count("1")
-                cost = 1 if atomic else (
-                    base + per_one * ones + per_hash * (len(text) - ones))
+                if atomic:
+                    cost = 1
+                else:
+                    ones = text.count("1")
+                    cost = base + per_one * ones + per_hash * (len(text) - ones)
                 if cost <= fuel - steps:
                     steps += cost
                     pc = end
                     if r:
                         regs[r].clear()
-                        for n, trans in outs:
-                            add = text.translate(trans)
+                        for n, one, hash_ in outs:
+                            add = _image(text, one, hash_)
                             if add:             # no empty chunk
                                 regs[n].append(add)
                     else:

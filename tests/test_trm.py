@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from srtlab.trm import (
-    TrmParseError, TrmProgram, _loop, setup_boundary, trm_compose,
+    TrmParseError, TrmProgram, _image, _loop, setup_boundary, trm_compose,
     trm_diag_program, trm_erase, trm_kleene_fixpoint, trm_move,
     trm_moss_fixpoint, trm_moss_qhat, trm_parse, trm_print, trm_run,
     trm_s11_program, trm_write_program, write_code,
@@ -113,6 +114,20 @@ def test_write_example():
 def test_write_code_rejects_other_characters(text):
     with pytest.raises(ValueError, match=r"over \{1,#\}"):
         write_code(text)
+
+
+#: Every text over {1,#} of length at most 3, "" included.
+IMAGES = ["".join(symbols) for size in range(4)
+          for symbols in itertools.product("1#", repeat=size)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=st.text("1#", max_size=24))
+@example(text="")
+def test_image_replaces_each_symbol_by_its_image(text):
+    for one, hash_ in itertools.product(IMAGES, repeat=2):
+        expected = "".join(one if c == "1" else hash_ for c in text)
+        assert _image(text, one, hash_) == expected
 
 
 def test_write_cost_is_linear():
@@ -394,7 +409,8 @@ def ins(op, n):
 
 
 #: Loops of the toolkit's shape: the move, emit, dup and copy bodies, a
-#: body writing to three registers, and an empty body on either side.
+#: body writing to three registers, an empty body on either side, a swap
+#: (1 -> #, # -> 1), and multi-symbol images into two registers.
 LOOPS = [
     _loop(1, ins(2, 2), ins(1, 2)),
     _loop(1, ins(1, 2) + ins(2, 2) + ins(2, 2), ins(1, 2) + ins(2, 2)),
@@ -403,7 +419,15 @@ LOOPS = [
     _loop(1, ins(2, 2) + ins(2, 3), ins(1, 2) + ins(1, 3)),
     _loop(2, ins(1, 3) + ins(2, 1) + ins(1, 4), ""),
     _loop(3, "", ins(2, 1) + ins(2, 1)),
+    _loop(1, ins(1, 2), ins(2, 2)),
+    _loop(1, ins(1, 2) + ins(2, 3) + ins(2, 2) + ins(1, 3),
+          ins(2, 2) + ins(1, 3) + ins(2, 2) + ins(1, 3) + ins(2, 3)),
 ]
+
+
+def test_every_loop_is_summed_up():
+    for loop in LOOPS:
+        assert 1 in trm_parse(loop)._summaries()[0]
 
 
 def agree_at_every_fuel(program, inputs, boundaries, limit=FUEL):
