@@ -178,8 +178,8 @@ def _build_parser():
     p.add_argument("--lang", choices=("flow", "trm"), default="flow")
     p.add_argument("--mode", choices=("plain", "reflective"), default="plain",
                    help="reflective allows * and native univ; nested univ "
-                        "calls use up to about 100 bytes per step of fuel "
-                        "(about 1 GB at the default fuel)")
+                        "calls use up to about 120 bytes per step of fuel "
+                        "(about 1.2 GB at the default fuel)")
     p.add_argument("--variant", choices=("standard", "fast-assign"),
                    default="standard")
     p.add_argument("--steps", action="store_true",

@@ -8,13 +8,16 @@ which runs the encoded program inside the same run and fuel budget.
 
 ``run`` compiles each program to one Python function (cached on the
 program) and charges each straight-line block of steps with one fuel
-check.  That function is a generator, which yields the generator of
-each native univ call and of each deeply nested control construct;
-``_walk`` runs them all on one explicit stack, so fuel and memory bound
-their depth, not the Python stack.  A univ call on the running
-program's own text runs the running program's function: that text is
-never decoded, as long as decoding it would give the program back (one
-input, and no variable named ``*`` or ``()``).
+check.  That function is a generator.  It runs a native univ call's
+generator by ``yield from``, so nested univ calls form a chain that
+Python runs on its own stack, with no trampoline; every 16th call in a
+nest starts a new chain instead, and yields it.  It also yields the
+generator of each deeply nested control construct.  ``_walk`` runs the
+chains and the yielded generators on one explicit stack, so fuel and
+memory bound the depth of univ nesting, not the Python stack.  A univ
+call on ``*`` calls the running program's function directly: the text
+is never decoded, as long as decoding it would give the program back
+(one input, and no variable named ``*`` or ``()``).
 
 Programs have a bijective s-expression concrete syntax, so programs are
 ordinary data:
@@ -447,18 +450,25 @@ _TEST = object()
 #: ``_Emitter._command`` work items other than commands.
 _ELSE, _END, _AGAIN = "else", "end", "again"
 _CHARGE = "{0}s += {1}\n{0}if s > F: raise EX"
+#: Position of the last generator in a chain of univ calls nested by
+#: ``yield from``; the next call leaves its chain for ``_walk``.  Python
+#: runs a chain on its own stack, so this bounds the stack a run takes.
+_LAST = 15
 
 
 class _Emitter:
     """Python source for one program in one mode.
 
-    ``make(C, SELF)`` binds the quoted constants (read as ``C[i]``) and
-    the self text and returns the generator function ``P(inputs..., s,
-    F, U)``, which runs the body from ``s`` steps under fuel ``F`` and
-    returns ``(output value, steps)``.  ``U(q_enc, d, s)`` is the run's
-    univ: it returns the generator of the encoded program ``q_enc`` on
-    ``d``, or raises ``_Fault``.  Variables are locals ``v<i>``;
-    expressions become three-address code on temporaries ``t<i>``.
+    ``make(C, SELF, OWN)`` binds the quoted constants (read as ``C[i]``),
+    the self text and ``OWN``, true if that text decodes back to the
+    program, and returns the generator function ``P(inputs..., s, F, U,
+    D)``, which runs the body from ``s`` steps under fuel ``F`` and
+    returns ``(output value, steps)``.  ``D``, from 0 to ``_LAST``, is
+    the position of the generator in its chain of univ calls.
+    ``U(q_enc, d, s, D)`` is the run's univ: it returns the generator of
+    the encoded program ``q_enc`` on ``d``, or raises ``_Fault``.
+    Variables are locals ``v<i>``; expressions become three-address code
+    on temporaries ``t<i>``.
     An ``=`` with a quoted atom ``C[i]`` as an operand is one name test
     against ``K<i>``, which ``make`` binds to ``C[i].name``, so no
     atom's name is written into the source.  A ``cons`` allocates its
@@ -472,9 +482,12 @@ class _Emitter:
     loop ``if test: while True: body; if not (test): break``, each copy
     of its test charged and checked with the steps before it.
 
-    ``P`` yields the generator of each univ call, ``yield U(a, b, s)``,
-    and of each command outlined past control depth ``_MAX_NEST``, and
-    receives the generator's return value; ``_walk`` runs them.
+    ``P`` runs each univ call by ``t, s = yield from U(a, b, s, D)``; a
+    univ call on ``*`` calls ``P`` itself at position ``D + 1`` while
+    ``OWN`` holds and the chain has room, and ``U`` otherwise.  ``P``
+    yields the generator ``B<i>(locals..., s, F, U, 0)`` of each command
+    outlined past control depth ``_MAX_NEST``, and ``_walk`` runs it and
+    sends back its return value.
     """
 
     def __init__(self, program, reflective):
@@ -493,7 +506,7 @@ class _Emitter:
     def source(self):
         program, lines = self.program, self.lines
         params = [self._local(v) for v in program.inputs]
-        lines.append(f"    def P({', '.join(params + ['s', 'F', 'U'])}):")
+        lines.append(f"    def P({', '.join(params + ['s', 'F', 'U', 'D'])}):")
         init = len(lines)
         lines.append("")
         self._command(program.body, " " * 8)
@@ -506,13 +519,13 @@ class _Emitter:
             lines[init] = f"        {' = '.join(rest)} = NIL"
         for name, cmd in self.outlined:  # grows while it is walked
             names = ", ".join(self.all_locals)
-            lines.append(f"    def {name}({names}, s, F, U):")
+            lines.append(f"    def {name}({names}, s, F, U, D):")
             self._command(cmd, " " * 8)
             lines.append(f"        return {names}, s + {self.pending}")
             lines.append("        yield")  # unreached: makes a generator
             self.pending = 0
         names = "".join(f"    {k} = {c}.name\n" for k, c in self.names.items())
-        return "def make(C, SELF):\n" + names + "\n".join(lines) + "\n    return P\n"
+        return "def make(C, SELF, OWN):\n" + names + "\n".join(lines) + "\n    return P\n"
 
     def _local(self, name):
         local = self.locals.get(name)
@@ -596,7 +609,7 @@ class _Emitter:
         self.outlined.append((name, cmd))
         names = ", ".join(self.all_locals)
         self.lines.append(
-            f"{ind}{names}, s = yield {name}({names}, s + {self.pending}, F, U)")
+            f"{ind}{names}, s = yield {name}({names}, s + {self.pending}, F, U, 0)")
         self.pending = 0
 
     def _const(self, value):
@@ -683,7 +696,11 @@ class _Emitter:
                     lines.append(line if p == t else f"{line}; {t} = {p}")
                 else:  # UnivCall
                     self._check(ind)
-                    lines.append(f"{ind}{t}, s = yield U({a}, {b}, s)")
+                    call = f"U({a}, {b}, s, D)"
+                    if a == "SELF":  # the operand is *
+                        call = (f"(P({b}, s, F, U, D + 1) if OWN and D < {_LAST}"
+                                f" else {call})")
+                    lines.append(f"{ind}{t}, s = yield from {call}")
                 values.append(t)
         value = values.pop()
         if dest is _TEST:
@@ -723,7 +740,7 @@ def _instance(program, reflective):
         # rejects * and () as names and reads an atom * in an expression
         # as SelfRef, so with either the text is some other program or none
         decodes = len(program.inputs) == 1 and not {"*", "()"} & emitter.locals.keys()
-        entry = made[reflective] = (make(tuple(emitter.consts), own),
+        entry = made[reflective] = (make(tuple(emitter.consts), own, decodes),
                                     own if decodes else None)
     return entry
 
@@ -749,6 +766,13 @@ def _walk(gen):
             reply = None
 
 
+def _out(fn, d, steps, fuel, U):
+    """Start ``fn`` on ``d`` as the first of a new chain, and hand it to
+    ``_walk`` to run.  The generator is not kept here: a chain must not
+    hold the next one, or freeing a deep nest would recurse in C."""
+    return (yield fn(d, steps, fuel, U, 0))
+
+
 def run(program, args, fuel=10**7, mode="plain"):
     """Run a program on argument values under a fuel bound.
 
@@ -766,26 +790,36 @@ def run(program, args, fuel=10**7, mode="plain"):
     an expression where a command belongs, raises ``TypeError("cannot
     compile ...")`` before any step runs; no decoded program has one.
 
+    ``fuel`` must be an ``int`` and each argument an ``Atom`` or a
+    ``Pair``; anything else raises ``TypeError`` before any step runs.
+
     Memory grows with univ nesting: each pending univ call holds one
-    generator frame of about 300 bytes plus 8 per variable of the
+    generator frame of about 360 bytes plus 8 per variable of the
     called program, and costs at least 3 steps.  So
-    ``((d) (:= out (univ * d)) out)`` peaks at about 1 GB before it
+    ``((d) (:= out (univ * d)) out)`` peaks at about 1.2 GB before it
     exhausts the default fuel.
     """
     if len(args) != len(program.inputs):
         raise ValueError(
             f"program expects {len(program.inputs)} arguments, got {len(args)}")
+    if type(fuel) is not int:  # a bool is no fuel either
+        raise TypeError(f"fuel must be an int, not {type(fuel).__name__}")
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if mode not in ("plain", "reflective"):
         raise ValueError(f"unknown mode {mode!r}")
+    for arg in args:
+        if type(arg) is not Atom and type(arg) is not Pair:
+            raise TypeError(f"argument {arg!r} is not an s-expression")
     fn, own = _instance(program, mode == "reflective")
     # id(q_enc) -> (q_enc, compiled function): holding q_enc pins its id
     programs = {} if own is None else {id(own): (own, fn)}
 
-    def U(q_enc, d, steps):
-        """This run's univ: the generator of ``q_enc`` run on ``d`` from
-        ``steps``.  Each distinct text is decoded and compiled once."""
+    def U(q_enc, d, steps, depth):
+        """This run's univ, called at chain position ``depth``: the
+        generator of ``q_enc`` run on ``d`` from ``steps``, next in the
+        chain or, past its end, through ``_out``.  Each distinct text is
+        decoded and compiled once."""
         known = programs.get(id(q_enc))
         if known is None:
             try:
@@ -795,10 +829,12 @@ def run(program, args, fuel=10**7, mode="plain"):
             if len(q.inputs) != 1:
                 raise _Fault("univ needs a one-input program", steps)
             known = programs[id(q_enc)] = (q_enc, _instance(q, True)[0])
-        return known[1](d, steps, fuel, U)
+        if depth < _LAST:
+            return known[1](d, steps, fuel, U, depth + 1)
+        return _out(known[1], d, steps, fuel, U)
 
     try:
-        value, steps = _walk(fn(*args, 0, fuel, U))
+        value, steps = _walk(fn(*args, 0, fuel, U, 0))
     except _Exhausted:
         return RunResult(None, fuel, RunResult.FUEL)
     except _Fault as f:

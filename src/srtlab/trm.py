@@ -429,6 +429,8 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     ``boundary`` (instruction index) marks where the set-up phase ends:
     ``setup_steps`` records the count when control first reaches it.
     """
+    if type(fuel) is not int:  # a bool is no fuel either
+        raise TypeError(f"fuel must be an int, not {type(fuel).__name__}")
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if variant not in ("standard", "fast_assign"):

@@ -18,7 +18,7 @@ from srtlab.build import (
 )
 from srtlab.flowchart import Quote, RunResult, SelfRef, decode, encode, run
 from srtlab.selfint import univ_program
-from srtlab.sexpr import NIL, parse, sexpr_print, to_unary
+from srtlab.sexpr import NIL, Pair, parse, sexpr_print, to_unary
 from srtlab.srt import DEMO_NAMES, demo_program, kleene_fixpoint
 
 from proggen import (
@@ -204,6 +204,44 @@ def test_self_recursion_agrees(build, source):
         p = decode(parse(sexpr_print(encode(p))), allow_reserved=True)
     for n in range(4):
         check_some_fuels(p, [to_unary(n)], "reflective")
+
+
+@pytest.mark.parametrize("n", [14, 15, 16, 17, 31, 32, 33])
+def test_self_recursion_across_chain_ends_agrees_at_every_fuel(n):
+    # univ calls nest in chains of 16 generators, the running program's
+    # first: the 16th call and every 16th after it starts a new chain
+    check_every_fuel(_countdown(), [to_unary(n)], "reflective")
+
+
+def _ping(tag):
+    """On ``(own text, other text . n)``, ``tag`` consed onto the other
+    program's result on ``(other text, own text . n - 1)``, and ``()``
+    when n is 0: mutual recursion by univ on text, not on ``*``."""
+    own, other, n = hd(V("d")), hd(tl(V("d"))), tl(tl(V("d")))
+    return prog(("d",), iff(n, asg("out", cons(QA(tag), univ(
+        other, cons(other, cons(own, tl(n)))))), asg("out", QNIL())), "out")
+
+
+def test_mutual_recursion_through_quoted_texts_agrees():
+    ping, pong = _ping("ping"), _ping("pong")
+    n = 45
+    args = [Pair(encode(ping), Pair(encode(pong), to_unary(n)))]
+    check_some_fuels(ping, args, "reflective", count=50)
+    got = run(ping, args, 10**5, "reflective")
+    tags = " ".join(("ping", "pong")[i % 2] for i in range(n))
+    assert got.halted and sexpr_print(got.value) == f"({tags})"
+
+
+def test_a_fault_deep_in_a_univ_nest_keeps_its_steps():
+    p = prog(("d",), iff(V("d"), asg("out", univ(SelfRef(), tl(V("d")))),
+                         asg("out", univ(QA("junk"), V("d")))), "out")
+    args = [to_unary(40)]
+    got = run(p, args, 10**5, "reflective")
+    # 6 steps a level down to the 40th univ call, then (QUOTE junk), d
+    # and the failing dispatch after the last if test's 2
+    assert (got.status, got.steps, got.detail) == (
+        RunResult.ERROR, 6 * 40 + 5, "univ on a non-program: expected program: junk")
+    check_every_fuel(p, args, "reflective")
 
 
 def _with_name(name):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -342,6 +343,26 @@ def test_entry_points_reject_bad_settings(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: run(dec("((d) (:= out d) out)"), [NIL], 1.5),
+     "fuel must be an int, not float"),
+    (lambda: run(dec("((d) (:= out d) out)"), [NIL], True),
+     "fuel must be an int, not bool"),
+    (lambda: trm_run(trm_parse("1#1#1#"), [], 2.0),
+     "fuel must be an int, not float"),
+    (lambda: trm_run(trm_parse("1#"), [], True), "fuel must be an int, not bool"),
+    (lambda: run(dec("((x) (while x (:= x (tl x))) x)"), ["abc"], 100),
+     "argument 'abc' is not an s-expression"),
+    (lambda: run(dec("((q d) (:= out d) out)"), [NIL, None], 100, "reflective"),
+     "argument None is not an s-expression"),
+], ids=["run-float-fuel", "run-bool-fuel", "trm_run-float-fuel",
+        "trm_run-bool-fuel", "run-str-argument", "run-none-argument"])
+def test_entry_points_reject_values_of_the_wrong_type(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("walk", [
     lambda body: is_tiny(prog(("d",), body, "x")),
     command_vars,
@@ -381,6 +402,39 @@ def test_univ_nesting_is_bounded_by_fuel_not_the_python_stack(n):
     r = run(dec(COUNTDOWN), [to_unary(n)], 10**7, mode="reflective")
     assert r.halted and r.steps == 10 * n + 5
     assert equal(r.value, to_unary(n))
+
+
+def _near_the_recursion_limit(margin, call):
+    """``call()`` from ``margin`` frames below Python's recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(k):
+        return call() if k <= 0 else down(k - 1)
+
+    return down(sys.getrecursionlimit() - margin - depth)
+
+
+def test_univ_nesting_needs_a_bounded_python_stack():
+    # a chain of univ calls nested by yield from runs on the Python
+    # stack, so its length bounds the stack a run needs at any depth
+    p = dec(COUNTDOWN)
+    r = _near_the_recursion_limit(
+        40, lambda: run(p, [to_unary(5000)], 10**7, mode="reflective"))
+    assert r.halted and r.steps == 10 * 5000 + 5
+
+
+def test_univ_calls_nest_by_yield_from_and_outlined_commands_by_yield():
+    body = asg("x", univ(V("q"), V("x")))
+    for _ in range(20):  # past the outlining depth
+        body = wh(V("x"), body)
+    source = _Emitter(prog(("q", "x"), body, "x"), True).source()
+    assert "= yield from U(v0, v1, s, D)" in source
+    assert "= yield B1(" in source and "yield from B" not in source
+    source = _Emitter(dec(COUNTDOWN), True).source()
+    assert "= yield from (P(t2, s, F, U, D + 1) if OWN and D < 15 " \
+           "else U(SELF, t2, s, D))" in source
 
 
 def test_unbounded_univ_nesting_exhausts_fuel():
