@@ -8,16 +8,23 @@ which runs the encoded program inside the same run and fuel budget.
 
 ``run`` compiles each program to one Python function (cached on the
 program) and charges each straight-line block of steps with one fuel
-check.  That function is a generator.  It runs a native univ call's
-generator by ``yield from``, so nested univ calls form a chain that
-Python runs on its own stack, with no trampoline; every 16th call in a
-nest starts a new chain instead, and yields it.  It also yields the
-generator of each deeply nested control construct.  ``_walk`` runs the
-chains and the yielded generators on one explicit stack, so fuel and
-memory bound the depth of univ nesting, not the Python stack.  A univ
-call on ``*`` calls the running program's function directly: the text
-is never decoded, as long as decoding it would give the program back
-(one input, and no variable named ``*`` or ``()``).
+check.  Programs of one shape share that function.  A shape is the AST
+up to a consistent renaming of its variables and the values of its
+quoted constants, of which only the kind, atom or pair, counts; one
+walk of the AST finds it, and the constants.  So a program of a known
+shape costs that walk, not an emission of source and a ``compile()``.
+
+The function is a generator.  It runs a native univ call's generator
+by ``yield from``, so nested univ calls form a chain that Python runs
+on its own stack, with no trampoline; every 16th call in a nest starts
+a new chain instead, and yields it.  It also yields the generator of
+each deeply nested control construct.  ``_walk`` runs the chains and
+the yielded generators on one explicit stack, so fuel and memory bound
+the depth of univ nesting, not the Python stack; a run called too near
+the recursion limit for a chain of 16 is made again with chains of
+one.  A univ call on ``*`` calls the running program's function
+directly: the text is never decoded, as long as decoding it would give
+the program back (one input, and no variable named ``*`` or ``()``).
 
 Programs have a bijective s-expression concrete syntax, so programs are
 ordinary data:
@@ -40,8 +47,6 @@ its own step (and ``univ`` before its operands); ``univ`` on a
 non-program or on a program without exactly one input fails after its
 operands and its dispatch step.
 """
-
-import functools
 
 from .sexpr import NIL, ONE, Atom, Pair, equal, from_list, is_nil, sexpr_print
 
@@ -457,7 +462,7 @@ _LAST = 15
 
 
 class _Emitter:
-    """Python source for one program in one mode.
+    """Python source for one program shape in one mode.
 
     ``make(C, SELF, OWN)`` binds the quoted constants (read as ``C[i]``),
     the self text and ``OWN``, true if that text decodes back to the
@@ -467,8 +472,9 @@ class _Emitter:
     the position of the generator in its chain of univ calls.
     ``U(q_enc, d, s, D)`` is the run's univ: it returns the generator of
     the encoded program ``q_enc`` on ``d``, or raises ``_Fault``.
-    Variables are locals ``v<i>``; expressions become three-address code
-    on temporaries ``t<i>``.
+    Variables are locals ``v<i>`` and constants ``C[i]``, numbered by
+    the ``_shape`` walk, so the source is a function of the shape key;
+    expressions become three-address code on temporaries ``t<i>``.
     An ``=`` with a quoted atom ``C[i]`` as an operand is one name test
     against ``K<i>``, which ``make`` binds to ``C[i].name``, so no
     atom's name is written into the source.  A ``cons`` allocates its
@@ -485,53 +491,45 @@ class _Emitter:
     ``P`` runs each univ call by ``t, s = yield from U(a, b, s, D)``; a
     univ call on ``*`` calls ``P`` itself at position ``D + 1`` while
     ``OWN`` holds and the chain has room, and ``U`` otherwise.  ``P``
-    yields the generator ``B<i>(locals..., s, F, U, 0)`` of each command
+    yields the generator ``B<i>(locals..., s, F, U, D)`` of each command
     outlined past control depth ``_MAX_NEST``, and ``_walk`` runs it and
     sends back its return value.
     """
 
-    def __init__(self, program, reflective):
+    def __init__(self, program, reflective, shape=None):
+        _, names, self.quotes, _, _ = shape or _shape(program, reflective)
         self.program = program
         self.reflective = reflective
-        self.locals = {}      # variable name -> local name
-        self.consts = []      # quoted values, C[i] in the source
+        self.locals = {name: f"v{i}" for name, i in names.items()}
         self.atoms = {}       # C[i] of a quoted atom -> K<i>, its name
-        self.names = {}       # each K<i> that the source reads -> C[i]
+        self.tested = {}      # each K<i> that the source reads -> C[i]
         self.lines = []
         self.pending = 0      # steps emitted but not yet added to s
-        self.uses_self = False
         self.outlined = []    # (function name, command)
-        self.all_locals = None
 
     def source(self):
         program, lines = self.program, self.lines
-        params = [self._local(v) for v in program.inputs]
+        params = [self.locals[v] for v in program.inputs]
         lines.append(f"    def P({', '.join(params + ['s', 'F', 'U', 'D'])}):")
         init = len(lines)
         lines.append("")
         self._command(program.body, " " * 8)
         self.pending += 1  # the final read
         self._check(" " * 8)
-        lines.append(f"        return {self._local(program.output)}, s")
+        lines.append(f"        return {self.locals[program.output]}, s")
         lines.append("        yield")  # unreached: makes a generator
         rest = list(self.locals.values())[len(params):]
         if rest:
             lines[init] = f"        {' = '.join(rest)} = NIL"
+        names = ", ".join(self.locals.values())
         for name, cmd in self.outlined:  # grows while it is walked
-            names = ", ".join(self.all_locals)
             lines.append(f"    def {name}({names}, s, F, U, D):")
             self._command(cmd, " " * 8)
             lines.append(f"        return {names}, s + {self.pending}")
             lines.append("        yield")  # unreached: makes a generator
             self.pending = 0
-        names = "".join(f"    {k} = {c}.name\n" for k, c in self.names.items())
+        names = "".join(f"    {k} = {c}.name\n" for k, c in self.tested.items())
         return "def make(C, SELF, OWN):\n" + names + "\n".join(lines) + "\n    return P\n"
-
-    def _local(self, name):
-        local = self.locals.get(name)
-        if local is None:
-            local = self.locals[name] = f"v{len(self.locals)}"
-        return local
 
     def _check(self, ind):
         self.lines.append(_CHARGE.format(ind, self.pending))
@@ -562,13 +560,11 @@ class _Emitter:
                 todo.append((cmd.second, None, ind, depth))
                 todo.append((cmd.first, None, ind, depth))
             elif cls is Assign:
-                target = self._local(cmd.var)
+                target = self.locals[cmd.var]
                 value = self._expr(cmd.expr, ind, target)
                 if value != target:
                     self.lines.append(f"{ind}{target} = {value}")
                 self.pending += 1
-            elif cls is not While and cls is not If:  # not a command
-                raise TypeError(f"cannot compile {cmd!r}")
             elif depth >= _MAX_NEST:
                 self._outline(cmd, ind)
             elif cls is While:
@@ -599,30 +595,28 @@ class _Emitter:
 
     def _outline(self, cmd, ind):
         """Run ``cmd`` as a generator function of its own, ``B<i>``, which
-        takes and returns every variable, and yield its generator."""
-        if self.all_locals is None:
-            program = self.program
-            for name in (program.output, *sorted(command_vars(program.body))):
-                self._local(name)
-            self.all_locals = list(self.locals.values())
+        takes and returns every variable, and yield its generator.  It
+        starts at the caller's chain position: it runs on ``_walk``'s
+        stack, no deeper than the caller, so its chain fits where the
+        caller's did."""
         name = f"B{len(self.outlined) + 1}"
         self.outlined.append((name, cmd))
-        names = ", ".join(self.all_locals)
+        names = ", ".join(self.locals.values())
         self.lines.append(
-            f"{ind}{names}, s = yield {name}({names}, s + {self.pending}, F, U, 0)")
+            f"{ind}{names}, s = yield {name}({names}, s + {self.pending}, F, U, D)")
         self.pending = 0
 
-    def _const(self, value):
-        i = len(self.consts)
-        self.consts.append(value)
-        if type(value) is Atom:
+    def _const(self, quote):
+        """``C[i]``, with ``i`` the shape walk's index of the Quote node."""
+        i = self.quotes[id(quote)]
+        if type(quote.value) is Atom:
             self.atoms[f"C[{i}]"] = f"K{i}"
         return f"C[{i}]"
 
     def _name_test(self, x, atom):
         """Condition for ``equal(x, atom)`` with ``atom`` a quoted atom."""
         k = self.atoms[atom]
-        self.names[k] = atom
+        self.tested[k] = atom
         return f"type({x}) is Atom and {x}.name == {k}"
 
     def _expr(self, root, ind, dest=None):
@@ -638,14 +632,13 @@ class _Emitter:
             expr, slot, ready = todo.pop()
             cls = type(expr)
             if cls is Var:
-                values.append(self._local(expr.name))
+                values.append(self.locals[expr.name])
                 self.pending += 1
             elif cls is Quote:
-                values.append(self._const(expr.value))
+                values.append(self._const(expr))
                 self.pending += 1
             elif cls is SelfRef and self.reflective:
                 values.append("SELF")
-                self.uses_self = True
                 self.pending += 1
             elif cls is SelfRef:
                 self._fail(ind, "'*' outside reflective mode")
@@ -660,10 +653,8 @@ class _Emitter:
                         else (expr.left, expr.right)
                     todo.append((right, slot + 1, False))
                     todo.append((left, slot, False))
-                elif cls is Hd or cls is Tl or cls is IsAtom:
+                else:  # Hd, Tl or IsAtom
                     todo.append((expr.arg, slot, False))
-                else:  # not an expression
-                    raise TypeError(f"cannot compile {expr!r}")
             else:
                 self.pending += 1
                 b = values.pop() if cls is Cons or cls is Eq or cls is UnivCall \
@@ -708,39 +699,108 @@ class _Emitter:
         return value
 
 
-@functools.lru_cache(maxsize=256)
-def _make(source):
-    """The ``make`` function of an ``_Emitter`` source text.
+def _shape_kinds(reflective):
+    """The kinds allowed where a command belongs, in one mode.  Each kind
+    maps to its children as (field, kinds allowed there), last child
+    first.  In plain mode a univ call has none: it fails before them."""
+    kinds = {_CMD: {}, _EXPR: {}}
+    for category, rows in _SYNTAX.items():
+        for cls, *_ in rows:
+            children = () if cls is UnivCall and not reflective else tuple(
+                (field, kinds[kind]) for field, kind in reversed(_ROWS[cls][3])
+                if kind in kinds)
+            kinds[category][cls] = children
+    return kinds[_CMD]
 
-    Constants and the self text are arguments of ``make``, so programs
-    of one shape (up to variable names and quoted atom names) share an
-    entry.  This pays off only when shapes repeat, as with a fixpoint or
-    a Futamura stage built afresh on each call.  A program of a new
-    shape pays for ``compile()``, which outweighs the faster execution
-    on runs of less than a few thousand steps.
+
+_SHAPE_KINDS = (_shape_kinds(False), _shape_kinds(True))
+
+
+def _shape(program, reflective):
+    """Walk ``program`` once, in prefix order and with no recursion, and
+    return ``(key, names, quotes, consts, uses_self)``.
+
+    ``key`` is the program's shape: the mode, the number of inputs, each
+    node's kind, each variable as the index of its first occurrence
+    (inputs first, the output last) and each quoted constant only as
+    ``"atom"`` or ``"pair"``.  Renaming variables consistently or
+    changing the values of constants leaves it as it is.  A Quote node
+    met again (ASTs may share subtrees) is the index of its constant.
+    ``names`` maps each variable to its index, ``quotes`` each Quote
+    node's id to the index of its constant in ``consts``, and
+    ``uses_self`` is true if the program reads ``*`` in reflective mode.
+    A value where no node of its kind belongs raises ``TypeError``.
     """
-    namespace = dict(_GLOBALS)
-    exec(compile(source, "<flowchart>", "exec"), namespace)
-    return namespace["make"]
+    names = {name: i for i, name in enumerate(program.inputs)}
+    quotes, consts = {}, []
+    key = [reflective, len(names)]
+    uses_self = False
+    todo = [(program.body, _SHAPE_KINDS[reflective])]
+    while todo:
+        node, kinds = todo.pop()
+        cls = type(node)
+        children = kinds.get(cls)
+        if children is None:
+            raise TypeError(f"cannot compile {node!r}")
+        key.append(cls)
+        if cls is Var:
+            key.append(names.setdefault(node.name, len(names)))
+        elif cls is Quote:
+            i = quotes.get(id(node))
+            if i is None:
+                quotes[id(node)] = len(consts)
+                consts.append(node.value)
+                key.append("atom" if type(node.value) is Atom else "pair")
+            else:
+                key.append(i)
+        elif cls is Assign:
+            key.append(names.setdefault(node.var, len(names)))
+        elif cls is SelfRef:
+            uses_self = reflective
+        for field, sub in children:
+            todo.append((getattr(node, field), sub))
+    key.append(names.setdefault(program.output, len(names)))
+    return tuple(key), names, quotes, consts, uses_self
+
+
+#: The ``make`` function of each compiled shape, least recently used
+#: first; at most ``_SHAPES_MAX`` of them.
+_SHAPES = {}
+_SHAPES_MAX = 256
 
 
 def _instance(program, reflective):
     """The compiled function of ``program`` in one mode, made once, and
     the program's own text if a univ call on that text may run this
-    function instead of decoding it (else None)."""
+    function instead of decoding it (else None).
+
+    Constants and the self text are arguments of ``make``, so programs
+    of one shape share one ``make``.  A program of a known shape costs
+    one ``_shape`` walk and a call of ``make``; only a new shape pays
+    for emitting its source and ``compile()``, which outweighs the
+    faster execution on runs of less than a few thousand steps.
+    """
     made = program._compiled
     if made is None:
         made = program._compiled = [None, None]
     entry = made[reflective]
     if entry is None:
-        emitter = _Emitter(program, reflective)
-        make = _make(emitter.source())
-        own = encode(program) if emitter.uses_self else None
-        # in reflective mode the emitter makes every name a local.  decode
-        # rejects * and () as names and reads an atom * in an expression
-        # as SelfRef, so with either the text is some other program or none
-        decodes = len(program.inputs) == 1 and not {"*", "()"} & emitter.locals.keys()
-        entry = made[reflective] = (make(tuple(emitter.consts), own, decodes),
+        shape = key, names, _, consts, uses_self = _shape(program, reflective)
+        make = _SHAPES.pop(key, None)
+        if make is None:
+            source = _Emitter(program, reflective, shape).source()
+            namespace = dict(_GLOBALS)
+            exec(compile(source, "<flowchart>", "exec"), namespace)
+            make = namespace["make"]
+            if len(_SHAPES) >= _SHAPES_MAX:
+                del _SHAPES[next(iter(_SHAPES))]
+        _SHAPES[key] = make
+        own = encode(program) if uses_self else None
+        # decode rejects * and () as names and reads an atom * in an
+        # expression as SelfRef, so with either the text is some other
+        # program or none; this holds per program, not per shape
+        decodes = len(program.inputs) == 1 and "*" not in names and "()" not in names
+        entry = made[reflective] = (make(tuple(consts), own, decodes),
                                     own if decodes else None)
     return entry
 
@@ -766,11 +826,12 @@ def _walk(gen):
             reply = None
 
 
-def _out(fn, d, steps, fuel, U):
-    """Start ``fn`` on ``d`` as the first of a new chain, and hand it to
-    ``_walk`` to run.  The generator is not kept here: a chain must not
-    hold the next one, or freeing a deep nest would recurse in C."""
-    return (yield fn(d, steps, fuel, U, 0))
+def _out(fn, d, steps, fuel, U, first):
+    """Start ``fn`` on ``d`` as the first of a new chain, at position
+    ``first``, and hand it to ``_walk`` to run.  The generator is not
+    kept here: a chain must not hold the next one, or freeing a deep
+    nest would recurse in C."""
+    return (yield fn(d, steps, fuel, U, first))
 
 
 def run(program, args, fuel=10**7, mode="plain"):
@@ -786,6 +847,12 @@ def run(program, args, fuel=10**7, mode="plain"):
     decoded like any other text, and fails or runs just as the decoded
     program says.
 
+    Each program is compiled once per mode, and programs of one shape
+    (the same AST up to consistent renaming of variables and the values
+    of quoted constants) share one compiled function: a freshly built
+    or decoded program of a known shape costs one walk of its AST, not
+    an emission of source and a ``compile()``.
+
     A directly built AST with a command where an expression belongs, or
     an expression where a command belongs, raises ``TypeError("cannot
     compile ...")`` before any step runs; no decoded program has one.
@@ -797,7 +864,10 @@ def run(program, args, fuel=10**7, mode="plain"):
     generator frame of about 360 bytes plus 8 per variable of the
     called program, and costs at least 3 steps.  So
     ``((d) (:= out (univ * d)) out)`` peaks at about 1.2 GB before it
-    exhausts the default fuel.
+    exhausts the default fuel.  A chain of univ calls takes up to 16
+    Python frames; called too near the recursion limit for that, a run
+    is made again with every univ call in a chain of its own, and gives
+    the same result.
     """
     if len(args) != len(program.inputs):
         raise ValueError(
@@ -812,6 +882,17 @@ def run(program, args, fuel=10**7, mode="plain"):
         if type(arg) is not Atom and type(arg) is not Pair:
             raise TypeError(f"argument {arg!r} is not an s-expression")
     fn, own = _instance(program, mode == "reflective")
+    try:
+        return _execute(fn, own, args, fuel, 0)
+    except RecursionError:
+        # runs are deterministic: one whose chains of univ calls outgrew
+        # the caller's stack gives the same result with chains of one
+        return _execute(fn, own, args, fuel, _LAST)
+
+
+def _execute(fn, own, args, fuel, first):
+    """Run the compiled function ``fn`` of ``run`` on ``args``, starting
+    each chain of univ calls at position ``first``."""
     # id(q_enc) -> (q_enc, compiled function): holding q_enc pins its id
     programs = {} if own is None else {id(own): (own, fn)}
 
@@ -831,10 +912,10 @@ def run(program, args, fuel=10**7, mode="plain"):
             known = programs[id(q_enc)] = (q_enc, _instance(q, True)[0])
         if depth < _LAST:
             return known[1](d, steps, fuel, U, depth + 1)
-        return _out(known[1], d, steps, fuel, U)
+        return _out(known[1], d, steps, fuel, U, first)
 
     try:
-        value, steps = _walk(fn(*args, 0, fuel, U, 0))
+        value, steps = _walk(fn(*args, 0, fuel, U, first))
     except _Exhausted:
         return RunResult(None, fuel, RunResult.FUEL)
     except _Fault as f:

@@ -3,11 +3,11 @@ import sys
 
 import pytest
 
-from srtlab.build import QA, V, asg, cons, hd, iff, prog, seq, tl, univ, wh
+from srtlab.build import QA, QNIL, V, asg, cons, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Quote, RunResult, SelfRef,
     Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, expr_vars,
-    _Emitter, _make, is_tiny, rename_command, run,
+    _Emitter, _SHAPES, is_tiny, rename_command, run,
 )
 from srtlab.sexpr import NIL, equal, parse, sexpr_print, to_unary
 from srtlab.specializer import eliminate_dead_code
@@ -425,6 +425,47 @@ def test_univ_nesting_needs_a_bounded_python_stack():
     assert r.halted and r.steps == 10 * 5000 + 5
 
 
+def _least_margin(call):
+    """The fewest frames below the recursion limit that ``call()`` needs."""
+    margin = 0
+    while True:
+        try:
+            _near_the_recursion_limit(margin, call)
+            return margin
+        except RecursionError:
+            margin += 1
+
+
+def test_univ_nesting_fits_any_stack_that_run_itself_fits():
+    # too near the limit for a chain of 16 generators, a run is made
+    # again with chains of one; that needs 2 frames more than a run
+    # without univ calls: the caller's P and U
+    entry = _least_margin(lambda: run(dec("((d) (:= out d) out)"), [NIL], 10))
+    for margin in range(40, entry + 1, -1):
+        p = dec(COUNTDOWN)
+        r = _near_the_recursion_limit(
+            margin, lambda: run(p, [to_unary(5000)], 10**7, mode="reflective"))
+        assert r.halted and r.steps == 10 * 5000 + 5, margin
+        assert equal(r.value, to_unary(5000))
+
+
+def test_outlined_commands_start_at_their_callers_chain_position():
+    # a block outlined past _MAX_NEST runs the countdown by univ, and so
+    # starts a chain of univ calls, near the recursion limit
+    p = prog(("d",), _deep(seq(
+        asg("out", univ(Quote(parse(COUNTDOWN)), V("d"))),
+        asg("d", QNIL()))), "out")
+    assert "yield B1(" in _Emitter(p, True).source()
+    want = run(p, [to_unary(300)], 10**7, mode="reflective")
+    assert want.halted and equal(want.value, to_unary(300))
+    entry = _least_margin(lambda: run(dec("((d) (:= out d) out)"), [NIL], 10))
+    for margin in (40, 25, entry + 3):
+        r = _near_the_recursion_limit(
+            margin, lambda: run(p, [to_unary(300)], 10**7, mode="reflective"))
+        assert (r.status, r.steps) == (want.status, want.steps), margin
+        assert equal(r.value, want.value)
+
+
 def test_univ_calls_nest_by_yield_from_and_outlined_commands_by_yield():
     body = asg("x", univ(V("q"), V("x")))
     for _ in range(20):  # past the outlining depth
@@ -456,7 +497,7 @@ def _compare_with(name):
     return prog(("x",), asg("out", Eq(V("x"), QA(name))), "out")
 
 
-def test_quoted_atom_names_share_one_compiled_shape():
+def test_quoted_atom_names_share_one_compiled_shape(monkeypatch):
     first, second = _compare_with("apple"), _compare_with("pear")
     source = _Emitter(first, False).source()
     assert source == _Emitter(second, False).source()
@@ -464,10 +505,14 @@ def test_quoted_atom_names_share_one_compiled_shape():
     assert "K0 = C[0].name" in source and "v0.name == K0" in source
     args = [parse("pear")]
     run(first, args, 100)
-    before = _make.cache_info()
+    entries = len(_SHAPES)
+
+    def emit(self):
+        raise AssertionError("a known shape emitted its source")
+
+    monkeypatch.setattr(_Emitter, "source", emit)
     r = run(second, args, 100)
-    after = _make.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert len(_SHAPES) == entries
     assert sexpr_print(r.value) == "1"
 
 
