@@ -77,7 +77,7 @@ def _cmd_run(args):
             raise CliError(f"1# arguments must be over {{1,#}}: {a!r}")
     variant = "fast_assign" if args.variant == "fast-assign" else "standard"
     result = t.trm_run(program, args.args, args.fuel, variant)
-    if result.status != "halted":
+    if result.status != t.TrmResult.HALTED:
         print(f"{result.status} after {result.steps} steps", file=sys.stderr)
         return 1
     print(result.output)
@@ -164,14 +164,12 @@ def _build_parser():
         prog="srtlab",
         description="specialise, self-interpret, and build fixpoint programs "
                     "over the flowchart and 1# machines")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomised experiments")
-    common.add_argument("--fuel", type=_positive, default=DEFAULT_FUEL,
+    fueled = argparse.ArgumentParser(add_help=False)
+    fueled.add_argument("--fuel", type=_positive, default=DEFAULT_FUEL,
                         help="step budget for every run")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("run", parents=[common],
+    p = sub.add_parser("run", parents=[fueled],
                        help="run a program file on arguments")
     p.add_argument("file")
     p.add_argument("args", nargs="*")
@@ -186,32 +184,35 @@ def _build_parser():
                    help="also print the step count")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("specialize", parents=[common],
+    p = sub.add_parser("specialize",
                        help="freeze a program's first input to a value")
     p.add_argument("prog")
     p.add_argument("value")
     p.add_argument("--eliminate-dead-code", action="store_true")
     p.set_defaults(fn=_cmd_specialize)
 
-    p = sub.add_parser("fixpoint", parents=[common],
+    p = sub.add_parser("fixpoint", parents=[fueled],
                        help="build a program that can use its own text")
     p.add_argument("prog")
     p.add_argument("--method", choices=("kleene", "moss"), default="kleene")
     p.add_argument("--lang", choices=("flow", "trm"), default="flow")
     p.set_defaults(fn=_cmd_fixpoint)
 
-    p = sub.add_parser("demo", parents=[common], help="print a library demo program")
+    p = sub.add_parser("demo", help="print a library demo program")
     p.add_argument("name")
     p.set_defaults(fn=_cmd_demo)
 
-    p = sub.add_parser("futamura", parents=[common],
+    p = sub.add_parser("futamura", parents=[fueled],
                        help="compile by specialising the interpreter")
     p.add_argument("stage", choices=("target", "compiler", "cogen"))
     p.add_argument("source", nargs="?")
     p.set_defaults(fn=_cmd_futamura)
 
-    p = sub.add_parser("experiment", parents=[common], help="run a measurement and emit JSON")
+    p = sub.add_parser("experiment", parents=[fueled],
+                       help="run a measurement and emit JSON")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomised experiments")
     p.add_argument("--json", default="-", metavar="OUT",
                    help="output file ('-' for stdout)")
     p.add_argument("--n-max", type=_positive, default=None,

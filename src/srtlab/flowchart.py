@@ -48,6 +48,8 @@ non-program or on a program without exactly one input fails after its
 operands and its dispatch step.
 """
 
+import sys
+
 from .sexpr import NIL, ONE, Atom, Pair, equal, from_list, is_nil, sexpr_print
 
 __all__ = [
@@ -179,8 +181,13 @@ _SYNTAX = {
 #: Each kind's row with its fields as (name, kind) pairs.
 _ROWS = {cls: (cls, tag, what, tuple(zip(cls.__slots__, kinds, strict=True)))
          for rows in _SYNTAX.values() for cls, tag, what, kinds in rows}
-_CHILDREN = {cls: tuple(f for f, kind in fields if kind in (_CMD, _EXPR))
-             for cls, _, _, fields in _ROWS.values()}
+#: The placement table: the kinds allowed in each category, each mapped
+#: to its children as (field, kinds allowed there), last child first.
+#: Every walk of an AST reads it, so each rejects what ``run`` rejects.
+_KINDS = {_CMD: {}, _EXPR: {}}
+for _category, _rows in _SYNTAX.items():
+    _KINDS[_category].update((cls, tuple((f, _KINDS[k]) for f, k in reversed(
+        _ROWS[cls][3]) if k in _KINDS)) for cls, *_ in _rows)
 #: Compound kinds by category and tag; fields numbered, last one first.
 _TAGGED = {category: {tag: (cls, what, len(kinds) + 1, tuple(reversed(
                           [(i, f, k) for i, (f, k) in enumerate(_ROWS[cls][3], 1)])))
@@ -295,17 +302,30 @@ def encode(node):
     programs is encoded as one shared value; specialisation and the
     fixpoint constructions rely on this to keep the printed program a
     DAG rather than a tree.
+
+    A program's body is a command; a lone node may be a command or an
+    expression.  Like every walk, ``encode`` rejects what ``run``
+    rejects: a value where no node of its kind belongs raises
+    ``TypeError("cannot compile ...")``, naming the node ``run`` names.
     """
-    if node._enc is not None:
-        return node._enc
     if type(node) is Program:
-        node._enc = from_list([from_list([Atom(v) for v in node.inputs]),
-                               encode(node.body), Atom(node.output)])
+        if node._enc is None:
+            node._enc = from_list([from_list([Atom(v) for v in node.inputs]),
+                                   _encode(node.body, _KINDS[_CMD]),
+                                   Atom(node.output)])
         return node._enc
-    todo = [(node, False)]  # (node, children encoded?), children first
+    return _encode(node, _KINDS[_EXPR if type(node) in _KINDS[_EXPR] else _CMD])
+
+
+def _encode(root, kinds):
+    """``encode`` of ``root``, checked as one of ``kinds``; children first."""
+    todo = [(root, kinds, False)]  # (node, kinds, children encoded?)
     while todo:
-        top, ready = todo.pop()
+        top, kinds, ready = todo.pop()
         cls = type(top)
+        children = kinds.get(cls)
+        if children is None:
+            raise TypeError(f"cannot compile {top!r}")
         if top._enc is not None:  # a node queued twice is encoded once
             continue
         if cls is Var:
@@ -313,9 +333,9 @@ def encode(node):
         elif cls is SelfRef:
             top._enc = Atom("*")
         elif not ready:
-            todo.append((top, True))
-            for field in _CHILDREN[cls]:
-                todo.append((getattr(top, field), False))
+            todo.append((top, kinds, True))
+            for field, sub in children:
+                todo.append((getattr(top, field), sub, False))
         else:
             enc = NIL
             for field, kind in reversed(_ROWS[cls][3]):
@@ -323,39 +343,44 @@ def encode(node):
                 enc = Pair(value._enc if kind is _CMD or kind is _EXPR else
                            Atom(value) if kind is _NAME else value, enc)
             top._enc = Pair(Atom(_ROWS[cls][1]), enc)
-    return node._enc
+    return root._enc
 
 
 # ---------------------------------------------------------------------------
 # AST utilities
 
-def _nodes(root):
-    """Every AST node under ``root``, itself included.  A node's children
-    are read after it is yielded, so the caller may replace them.  A
-    value that is no node raises ``TypeError``, as it does in ``run``."""
-    todo = [root]
+def _nodes(root, kinds):
+    """Every AST node under ``root``, itself included, in prefix order,
+    each with its children as ``_KINDS`` gives them; ``kinds`` are the
+    kinds allowed at ``root``.  A node's children are read after it is
+    yielded, so the caller may replace them.  Like every walk, it
+    rejects what ``run`` rejects: a value where no node of its kind
+    belongs raises ``TypeError("cannot compile ...")`` at the node that
+    ``run`` names."""
+    todo = [(root, kinds)]
     while todo:
-        node = todo.pop()
-        try:
-            children = _CHILDREN[type(node)]
-        except KeyError:
-            raise TypeError(f"cannot compile {node!r}") from None
-        yield node
-        for field in children:
-            todo.append(getattr(node, field))
+        node, kinds = todo.pop()
+        children = kinds.get(type(node))
+        if children is None:
+            raise TypeError(f"cannot compile {node!r}")
+        yield node, children
+        for field, sub in children:
+            todo.append((getattr(node, field), sub))
 
 
 def expr_vars(node, acc=None):
-    """Set of variable names read by an expression or a command."""
+    """Set of variable names read by an expression, added to ``acc`` if
+    given.  A misplaced node raises ``TypeError`` as in ``_nodes``."""
     if acc is None:
         acc = set()
-    acc.update(n.name for n in _nodes(node) if type(n) is Var)
+    acc.update(n.name for n, _ in _nodes(node, _KINDS[_EXPR]) if type(n) is Var)
     return acc
 
 
 def command_vars(cmd):
-    """All variable names occurring in a command (read or assigned)."""
-    return {getattr(node, field) for node in _nodes(cmd)
+    """All variable names occurring in a command (read or assigned); a
+    misplaced node raises ``TypeError`` as in ``_nodes``."""
+    return {getattr(node, field) for node, _ in _nodes(cmd, _KINDS[_CMD])
             for field, kind in _ROWS[type(node)][3] if kind is _NAME}
 
 
@@ -363,35 +388,35 @@ def rename_command(cmd, mapping):
     """Alpha-rename variables (quoted constants are untouched data).
 
     Every node is rebuilt except Quote and SelfRef nodes, which hold no
-    variable and are shared with ``cmd``.
+    variable and are shared with ``cmd``.  A misplaced node, the root
+    included, raises ``TypeError`` as in ``_nodes``, before it is copied.
     """
-    if type(cmd) not in (Assign, Seq, While, If):
-        raise TypeError(f"cannot rename {cmd!r}")
-    root = _renamed(cmd, mapping)
-    for node in _nodes(root):
-        for field in _CHILDREN[type(node)]:
-            setattr(node, field, _renamed(getattr(node, field), mapping))
+    root = _renamed(cmd, _KINDS[_CMD], mapping)
+    for node, children in _nodes(root, _KINDS[_CMD]):
+        for field, kinds in children:
+            setattr(node, field, _renamed(getattr(node, field), kinds, mapping))
     return root
 
 
-def _renamed(node, mapping):
+def _renamed(node, kinds, mapping):
     """Copy of ``node`` with its names renamed and the same children."""
     cls = type(node)
-    row = _ROWS.get(cls)
-    if cls is Quote or cls is SelfRef or row is None:
-        return node  # a value that is no node is left to _nodes to reject
+    if cls is Quote or cls is SelfRef or cls not in kinds:
+        return node  # a misplaced value is left to _nodes to reject
     copy = object.__new__(cls)
     copy._enc = None
-    for field, kind in row[3]:
+    for field, kind in _ROWS[cls][3]:
         value = getattr(node, field)
         setattr(copy, field, mapping.get(value, value) if kind is _NAME else value)
     return copy
 
 
 def is_tiny(program):
-    """True iff the body is straight-line: assignment and sequencing only."""
-    return all(type(node) not in (While, If, SelfRef, UnivCall)
-               for node in _nodes(program.body))
+    """True iff the body is straight-line: assignment and sequencing only.
+    Every node is visited, so a misplaced one raises ``TypeError`` as in
+    ``_nodes``."""
+    kinds = {type(node) for node, _ in _nodes(program.body, _KINDS[_CMD])}
+    return kinds.isdisjoint((While, If, SelfRef, UnivCall))
 
 
 # ---------------------------------------------------------------------------
@@ -699,23 +724,6 @@ class _Emitter:
         return value
 
 
-def _shape_kinds(reflective):
-    """The kinds allowed where a command belongs, in one mode.  Each kind
-    maps to its children as (field, kinds allowed there), last child
-    first.  In plain mode a univ call has none: it fails before them."""
-    kinds = {_CMD: {}, _EXPR: {}}
-    for category, rows in _SYNTAX.items():
-        for cls, *_ in rows:
-            children = () if cls is UnivCall and not reflective else tuple(
-                (field, kinds[kind]) for field, kind in reversed(_ROWS[cls][3])
-                if kind in kinds)
-            kinds[category][cls] = children
-    return kinds[_CMD]
-
-
-_SHAPE_KINDS = (_shape_kinds(False), _shape_kinds(True))
-
-
 def _shape(program, reflective):
     """Walk ``program`` once, in prefix order and with no recursion, and
     return ``(key, names, quotes, consts, uses_self)``.
@@ -729,13 +737,15 @@ def _shape(program, reflective):
     ``names`` maps each variable to its index, ``quotes`` each Quote
     node's id to the index of its constant in ``consts``, and
     ``uses_self`` is true if the program reads ``*`` in reflective mode.
-    A value where no node of its kind belongs raises ``TypeError``.
+    A value where no node of its kind belongs, by ``_KINDS``, raises
+    ``TypeError``; in plain mode a univ call is a leaf, as it fails
+    before its operands.
     """
     names = {name: i for i, name in enumerate(program.inputs)}
     quotes, consts = {}, []
     key = [reflective, len(names)]
     uses_self = False
-    todo = [(program.body, _SHAPE_KINDS[reflective])]
+    todo = [(program.body, _KINDS[_CMD])]
     while todo:
         node, kinds = todo.pop()
         cls = type(node)
@@ -757,6 +767,8 @@ def _shape(program, reflective):
             key.append(names.setdefault(node.var, len(names)))
         elif cls is SelfRef:
             uses_self = reflective
+        elif cls is UnivCall and not reflective:
+            continue  # it fails before its operands: a leaf, unchecked
         for field, sub in children:
             todo.append((getattr(node, field), sub))
     key.append(names.setdefault(program.output, len(names)))
@@ -767,6 +779,10 @@ def _shape(program, reflective):
 #: first; at most ``_SHAPES_MAX`` of them.
 _SHAPES = {}
 _SHAPES_MAX = 256
+#: Frames added to the recursion limit while a new shape's source is
+#: emitted and compiled, so a run entered where a compiled shape still
+#: runs can compile a new one too.
+_COMPILE_FRAMES = 50
 
 
 def _instance(program, reflective):
@@ -778,7 +794,9 @@ def _instance(program, reflective):
     of one shape share one ``make``.  A program of a known shape costs
     one ``_shape`` walk and a call of ``make``; only a new shape pays
     for emitting its source and ``compile()``, which outweighs the
-    faster execution on runs of less than a few thousand steps.
+    faster execution on runs of less than a few thousand steps.  Those
+    two run with the recursion limit raised by ``_COMPILE_FRAMES``, and
+    restored after them.
     """
     made = program._compiled
     if made is None:
@@ -788,9 +806,15 @@ def _instance(program, reflective):
         shape = key, names, _, consts, uses_self = _shape(program, reflective)
         make = _SHAPES.pop(key, None)
         if make is None:
-            source = _Emitter(program, reflective, shape).source()
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit + _COMPILE_FRAMES)
+            try:
+                code = compile(_Emitter(program, reflective, shape).source(),
+                               "<flowchart>", "exec")
+            finally:
+                sys.setrecursionlimit(limit)
             namespace = dict(_GLOBALS)
-            exec(compile(source, "<flowchart>", "exec"), namespace)
+            exec(code, namespace)
             make = namespace["make"]
             if len(_SHAPES) >= _SHAPES_MAX:
                 del _SHAPES[next(iter(_SHAPES))]
@@ -856,6 +880,9 @@ def run(program, args, fuel=10**7, mode="plain"):
     A directly built AST with a command where an expression belongs, or
     an expression where a command belongs, raises ``TypeError("cannot
     compile ...")`` before any step runs; no decoded program has one.
+    Every walk of the AST (``encode``, ``is_tiny``, ``command_vars``,
+    ``expr_vars``, ``rename_command``) reads the same placement table,
+    ``_KINDS``, and rejects what ``run`` rejects, naming the same node.
 
     ``fuel`` must be an ``int`` and each argument an ``Atom`` or a
     ``Pair``; anything else raises ``TypeError`` before any step runs.

@@ -21,7 +21,7 @@ well-formed encoded program yields garbage (deterministically).
 import functools
 
 from .build import QA, QNIL, V, asg, atomp, cons, eq, hd, iff, seq, tl, wh
-from .flowchart import Program, Quote, decode, encode, run
+from .flowchart import RESERVED_PREFIX, Program, Quote, decode, encode, run
 from .sexpr import NIL, Atom, Pair, tree_size
 from .specializer import s11_program
 
@@ -233,7 +233,7 @@ def wrap_nullary(program):
     """Lift a zero-input program to one ignored input, for interpretation."""
     if program.inputs:
         raise ValueError("program already has inputs")
-    return Program(("%ignored",), program.body, program.output)
+    return Program((f"{RESERVED_PREFIX}ignored",), program.body, program.output)
 
 
 def interpreter_wrapped(program):
@@ -245,12 +245,13 @@ def interpreter_wrapped(program):
     if len(program.inputs) != 1:
         raise ValueError("need a one-input program")
     u = univ_program()
+    arg = f"{RESERVED_PREFIX}arg"
     body = seq(
         asg("p", Quote(encode(program))),
-        asg("d", V("%arg")),
+        asg("d", V(arg)),
         u.body,
     )
-    return Program(("%arg",), body, u.output)
+    return Program((arg,), body, u.output)
 
 
 # ---------------------------------------------------------------------------

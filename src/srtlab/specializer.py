@@ -10,8 +10,8 @@ import functools
 
 from .build import QA, V, asg, hd, lst, prog, seq, tl
 from .flowchart import (
-    Assign, If, Program, Quote, SelfRef, Seq, UnivCall, Var, While, _nodes,
-    _walk, expr_vars,
+    RESERVED_PREFIX, Assign, If, Program, Quote, SelfRef, Seq, UnivCall, Var,
+    While, _EXPR, _KINDS, _nodes, _walk, expr_vars,
 )
 from .sexpr import NIL
 
@@ -149,8 +149,9 @@ def _kept(cmd, live):
 
 
 def _may_fault(expr):
-    return any(type(n) is UnivCall or type(n) is SelfRef for n in _nodes(expr))
+    return any(type(n) is UnivCall or type(n) is SelfRef
+               for n, _ in _nodes(expr, _KINDS[_EXPR]))
 
 
 def _noop():
-    return Assign("%dead", Quote(NIL))
+    return Assign(f"{RESERVED_PREFIX}dead", Quote(NIL))

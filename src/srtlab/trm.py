@@ -361,7 +361,7 @@ def trm_moss_fixpoint(p, fuel=10**7):
     """Run the Moss generator on its own text."""
     qhat = trm_moss_qhat(p)
     result = trm_run(qhat, [qhat.raw], fuel)
-    if result.status != "halted":
+    if result.status != TrmResult.HALTED:
         raise RuntimeError(f"generator run failed: {result.status}")
     return _program(result.output)
 
@@ -375,7 +375,7 @@ def trm_kleene_fixpoint(p, fuel=10**7):
     """
     p_tilde = _p_tilde_head() + p.raw
     result = trm_run(trm_s11_program(), [p_tilde, p_tilde], fuel)
-    if result.status != "halted":
+    if result.status != TrmResult.HALTED:
         raise RuntimeError(f"specialiser run failed: {result.status}")
     return _program(result.output)
 

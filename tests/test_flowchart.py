@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from srtlab import flowchart
 from srtlab.build import QA, QNIL, V, asg, cons, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Quote, RunResult, SelfRef,
@@ -315,14 +316,20 @@ def _deep(body):
     return body
 
 
-@pytest.mark.parametrize("body", [
-    lambda: Assign("x", Assign("y", V("d"))),
-    lambda: asg("x", Hd(seq(asg("y", V("d")), asg("z", V("d"))))),
-    lambda: V("d"),
-    lambda: _deep(V("d")),
-    lambda: _deep(Assign("x", "junk")),
-], ids=["command-as-operand", "command-under-hd", "expression-as-body",
-        "deep-expression-as-body", "deep-non-node"])
+#: Bodies with a value where no node of its kind belongs, each as (id,
+#: body, whether it is an expression where a command belongs).
+MISPLACED = [
+    ("command-as-operand", lambda: Assign("x", Assign("y", V("d"))), False),
+    ("command-under-hd",
+     lambda: asg("x", Hd(seq(asg("y", V("d")), asg("z", V("d"))))), False),
+    ("expression-as-body", lambda: V("d"), True),
+    ("deep-expression-as-body", lambda: _deep(V("d")), True),
+    ("deep-non-node", lambda: _deep(Assign("x", "junk")), False),
+]
+
+
+@pytest.mark.parametrize("body", [body for _, body, _ in MISPLACED],
+                         ids=[name for name, _, _ in MISPLACED])
 @pytest.mark.parametrize("mode", ["plain", "reflective"])
 def test_misplaced_node_is_rejected_before_running(body, mode):
     p = prog(("d",), body(), "x")
@@ -363,15 +370,32 @@ def test_entry_points_reject_values_of_the_wrong_type(call, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("walk", [
-    lambda body: is_tiny(prog(("d",), body, "x")),
-    command_vars,
-    lambda body: rename_command(body, {"d": "e"}),
-    lambda body: eliminate_dead_code(prog(("d",), body, "x")),
-], ids=["is_tiny", "command_vars", "rename_command", "eliminate_dead_code"])
-def test_walkers_reject_a_value_that_is_no_node(walk):
-    with pytest.raises(TypeError, match="^cannot compile 'junk'"):
-        walk(seq(asg("y", V("d")), Assign("x", "junk")))
+@pytest.mark.parametrize("walk, sweeps", [
+    (lambda body: is_tiny(prog(("d",), body, "x")), False),
+    (command_vars, False),
+    (lambda body: rename_command(body, {"d": "e"}), False),
+    (lambda body: eliminate_dead_code(prog(("d",), body, "x")), True),
+    (lambda body: encode(prog(("d",), body, "x")), False),
+], ids=["is_tiny", "command_vars", "rename_command", "eliminate_dead_code",
+        "encode"])
+def test_walkers_reject_a_value_that_is_no_node(walk, sweeps):
+    # every walk rejects what run rejects, naming the same node; dead-code
+    # elimination names an expression where a command belongs its own way
+    cases = [("non-node", lambda: seq(asg("y", V("d")), Assign("x", "junk")),
+              False), *MISPLACED]
+    for name, build, expression_as_command in cases:
+        body = build()
+        messages = set()
+        for mode in ("plain", "reflective"):
+            with pytest.raises(TypeError, match="^cannot compile ") as info:
+                run(prog(("d",), body, "x"), [parse("a")], 100, mode)
+            messages.add(str(info.value))
+        (message,) = messages
+        if sweeps and expression_as_command:
+            message = message.replace("cannot compile ", "cannot sweep ", 1)
+        with pytest.raises(TypeError) as info:
+            walk(body)
+        assert str(info.value) == message, name
     with pytest.raises(TypeError, match="^cannot compile 'junk'"):
         expr_vars(Hd("junk"))
 
@@ -447,6 +471,29 @@ def test_univ_nesting_fits_any_stack_that_run_itself_fits():
             margin, lambda: run(p, [to_unary(5000)], 10**7, mode="reflective"))
         assert r.halted and r.steps == 10 * 5000 + 5, margin
         assert equal(r.value, to_unary(5000))
+
+
+def _ifs(depth):
+    """``depth`` ifs nested in their then arms, past the outlining depth."""
+    body = asg("out", V("d"))
+    for _ in range(depth):
+        body = iff(V("d"), body, asg("out", QNIL()))
+    return prog(("d",), body, "out")
+
+
+def test_a_new_shape_compiles_at_any_stack_a_compiled_one_runs_at(monkeypatch):
+    # emitting and compiling a new shape take more stack than running a
+    # compiled one, so they have a fixed budget of frames of their own
+    compiled = _ifs(120)
+    want = run(compiled, [parse("(a)")], FUEL)
+    assert want.halted and want.steps == 2 * 120 + 3
+    least = _least_margin(lambda: run(compiled, [parse("(a)")], FUEL))
+    for margin in range(40, least - 1, -1):
+        monkeypatch.setattr(flowchart, "_SHAPES", {})
+        p = _ifs(120)
+        r = _near_the_recursion_limit(margin, lambda: run(p, [parse("(a)")], FUEL))
+        assert (r.status, r.steps) == (want.status, want.steps), margin
+        assert flowchart._SHAPES, margin  # the shape was compiled afresh
 
 
 def test_outlined_commands_start_at_their_callers_chain_position():

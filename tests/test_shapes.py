@@ -112,8 +112,8 @@ def _twin(program, rng):
     names = sorted({*program.inputs, program.output, *command_vars(program.body)})
     mapping = dict(zip(names, rng.sample([f"{n}'" for n in names], len(names))))
     body = rename_command(program.body, mapping)
-    for node in flowchart._nodes(body):
-        for field in flowchart._CHILDREN[type(node)]:
+    for node, children in flowchart._nodes(body, flowchart._KINDS["command"]):
+        for field, _ in children:
             child = getattr(node, field)
             if type(child) is Quote:
                 setattr(node, field, Quote(_same_kind(child.value, rng)))
