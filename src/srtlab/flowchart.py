@@ -99,6 +99,16 @@ class _Node:
         for field, value in zip(fields, values):
             setattr(self, field, value)
 
+    def __repr__(self):
+        """The kind and its fields, with each child node shown by its
+        kind only, so the text stays short at any depth."""
+        fields = []
+        for field in type(self).__slots__:
+            value = getattr(self, field)
+            shown = type(value).__name__ if isinstance(value, _Node) else repr(value)
+            fields.append(f"{field}={shown}")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
 
 class Assign(_Node):
     __slots__ = ("var", "expr")
@@ -188,6 +198,8 @@ _KINDS = {_CMD: {}, _EXPR: {}}
 for _category, _rows in _SYNTAX.items():
     _KINDS[_category].update((cls, tuple((f, _KINDS[k]) for f, k in reversed(
         _ROWS[cls][3]) if k in _KINDS)) for cls, *_ in _rows)
+#: The value types a Quote may hold, each with its part of a shape key.
+_DATA = {Atom: "atom", Pair: "pair"}
 #: Compound kinds by category and tag; fields numbered, last one first.
 _TAGGED = {category: {tag: (cls, what, len(kinds) + 1, tuple(reversed(
                           [(i, f, k) for i, (f, k) in enumerate(_ROWS[cls][3], 1)])))
@@ -326,6 +338,8 @@ def _encode(root, kinds):
         children = kinds.get(cls)
         if children is None:
             raise TypeError(f"cannot compile {top!r}")
+        if cls is Quote and type(top.value) not in _DATA:
+            raise TypeError(f"cannot compile {top.value!r}")
         if top._enc is not None:  # a node queued twice is encoded once
             continue
         if cls is Var:
@@ -355,14 +369,17 @@ def _nodes(root, kinds):
     kinds allowed at ``root``.  A node's children are read after it is
     yielded, so the caller may replace them.  Like every walk, it
     rejects what ``run`` rejects: a value where no node of its kind
-    belongs raises ``TypeError("cannot compile ...")`` at the node that
-    ``run`` names."""
+    belongs, or a quoted value that is not an s-expression, raises
+    ``TypeError("cannot compile ...")`` at the node that ``run`` names."""
     todo = [(root, kinds)]
     while todo:
         node, kinds = todo.pop()
-        children = kinds.get(type(node))
+        cls = type(node)
+        children = kinds.get(cls)
         if children is None:
             raise TypeError(f"cannot compile {node!r}")
+        if cls is Quote and type(node.value) not in _DATA:
+            raise TypeError(f"cannot compile {node.value!r}")
         yield node, children
         for field, sub in children:
             todo.append((getattr(node, field), sub))
@@ -500,10 +517,17 @@ class _Emitter:
     Variables are locals ``v<i>`` and constants ``C[i]``, numbered by
     the ``_shape`` walk, so the source is a function of the shape key;
     expressions become three-address code on temporaries ``t<i>``.
-    An ``=`` with a quoted atom ``C[i]`` as an operand is one name test
-    against ``K<i>``, which ``make`` binds to ``C[i].name``, so no
-    atom's name is written into the source.  A ``cons`` allocates its
-    pair with ``new(Pair)`` and sets both fields, without
+    Operators read the private aliases that ``sexpr`` gives every value,
+    with no type test: ``hd`` and ``tl`` are one load of ``_hd`` or
+    ``_tl`` (``()`` on an atom), and an ``=`` with a quoted atom ``C[i]``
+    as an operand is one load of ``_nm`` compared with ``K<i>``, which
+    ``make`` binds to ``C[i].name``, so no atom's name is written into
+    the source.  Any other ``=`` compares the ``_nm`` of both operands
+    (one sentinel on every pair) and calls ``equal`` only for two pairs.
+    The truth test and ``atom?`` keep their type tests: a loop variable
+    is mostly a pair, and CPython 3.11 does not specialise reading a
+    class attribute such as ``Pair._nm`` off an instance.  A ``cons``
+    allocates its pair with ``new(Pair)`` and sets both fields, without
     ``Pair.__init__``.
     Code without a fault or a loop has a static cost, so its steps
     gather in ``pending`` and reach ``s`` in one addition per branch.
@@ -642,7 +666,7 @@ class _Emitter:
         """Condition for ``equal(x, atom)`` with ``atom`` a quoted atom."""
         k = self.atoms[atom]
         self.tested[k] = atom
-        return f"type({x}) is Atom and {x}.name == {k}"
+        return f"{x}._nm == {k}"
 
     def _expr(self, root, ind, dest=None):
         """Emit code that evaluates ``root`` in the cost model's order
@@ -695,17 +719,13 @@ class _Emitter:
                     elif a in self.atoms:
                         test = self._name_test(b, a)
                     else:  # sexpr.equal, with its fast paths inlined
-                        test = (f"{a} is {b} or type({a}) is Atom and type({b})"
-                                f" is Atom and {a}.name == {b}.name or type({a})"
-                                f" is Pair and type({b}) is Pair and "
-                                f"equal({a}, {b})")
+                        test = (f"{a} is {b} or {a}._nm == {b}._nm and "
+                                f"(type({a}) is Atom or equal({a}, {b}))")
                     if not todo and dest is _TEST:
                         return test
                     lines.append(f"{ind}{t} = ONE if {test} else NIL")
                 elif cls is Hd or cls is Tl:
-                    field = "head" if cls is Hd else "tail"
-                    lines.append(
-                        f"{ind}{t} = {a}.{field} if type({a}) is Pair else NIL")
+                    lines.append(f"{ind}{t} = {a}.{'_hd' if cls is Hd else '_tl'}")
                 elif cls is Cons:  # built apart when t is also an operand
                     p = "pair" if t == a or t == b else t
                     line = f"{ind}{p} = new(Pair); {p}.head = {a}; {p}.tail = {b}"
@@ -737,9 +757,10 @@ def _shape(program, reflective):
     ``names`` maps each variable to its index, ``quotes`` each Quote
     node's id to the index of its constant in ``consts``, and
     ``uses_self`` is true if the program reads ``*`` in reflective mode.
-    A value where no node of its kind belongs, by ``_KINDS``, raises
-    ``TypeError``; in plain mode a univ call is a leaf, as it fails
-    before its operands.
+    A value where no node of its kind belongs, by ``_KINDS``, or a
+    quoted value that is not an s-expression raises ``TypeError``; so
+    do the operands of a univ call in plain mode, though it fails
+    before running them.
     """
     names = {name: i for i, name in enumerate(program.inputs)}
     quotes, consts = {}, []
@@ -758,17 +779,19 @@ def _shape(program, reflective):
         elif cls is Quote:
             i = quotes.get(id(node))
             if i is None:
+                value = node.value
+                kind = _DATA.get(type(value))
+                if kind is None:
+                    raise TypeError(f"cannot compile {value!r}")
                 quotes[id(node)] = len(consts)
-                consts.append(node.value)
-                key.append("atom" if type(node.value) is Atom else "pair")
+                consts.append(value)
+                key.append(kind)
             else:
                 key.append(i)
         elif cls is Assign:
             key.append(names.setdefault(node.var, len(names)))
         elif cls is SelfRef:
             uses_self = reflective
-        elif cls is UnivCall and not reflective:
-            continue  # it fails before its operands: a leaf, unchecked
         for field, sub in children:
             todo.append((getattr(node, field), sub))
     key.append(names.setdefault(program.output, len(names)))
@@ -877,9 +900,11 @@ def run(program, args, fuel=10**7, mode="plain"):
     or decoded program of a known shape costs one walk of its AST, not
     an emission of source and a ``compile()``.
 
-    A directly built AST with a command where an expression belongs, or
-    an expression where a command belongs, raises ``TypeError("cannot
-    compile ...")`` before any step runs; no decoded program has one.
+    A directly built AST with a command where an expression belongs, an
+    expression where a command belongs, or a quoted value that is not an
+    ``Atom`` or a ``Pair`` raises ``TypeError("cannot compile ...")``
+    before any step runs, in either mode and under a univ call too; no
+    decoded program has one.
     Every walk of the AST (``encode``, ``is_tiny``, ``command_vars``,
     ``expr_vars``, ``rename_command``) reads the same placement table,
     ``_KINDS``, and rejects what ``run`` rejects, naming the same node.

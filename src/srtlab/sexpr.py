@@ -15,6 +15,13 @@ tokenises with C string methods and builds its nodes without calling
 ``__init__``; character offsets are computed only for a ``ParseError``.
 ``sexpr_print`` and ``measure`` walk each list's tail chain in a loop,
 keeping a stack only for nested list heads.
+
+Every value also answers three private attributes with no type test,
+for the compiled flowchart executor: ``_hd`` and ``_tl`` (a pair's
+``head`` and ``tail`` slots under a second name, ``()`` on an atom) and
+``_nm`` (an atom's ``name`` slot; on a pair, a sentinel that equals no
+name).  They are private so that code telling pairs from atoms by
+``hasattr(value, "head")`` still can.
 """
 
 import re
@@ -66,6 +73,12 @@ class Pair(SExpr):
 #: convenience.
 NIL = Atom("()")
 ONE = Atom("1")
+
+# The private aliases of the module docstring; the sentinel is a fresh
+# object, so it equals no atom's name, None included.
+Pair._hd, Pair._tl, Pair._nm = Pair.head, Pair.tail, object()
+Atom._hd = Atom._tl = NIL
+Atom._nm = Atom.name
 
 
 def is_nil(s):

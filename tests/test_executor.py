@@ -24,7 +24,7 @@ from srtlab.srt import DEMO_NAMES, demo_program, kleene_fixpoint
 from proggen import (
     random_inputs, random_loop_program, random_sexpr, random_tiny_program,
 )
-from reference import _agree
+from reference import _agree, dec
 
 MODES = ("plain", "reflective")
 
@@ -142,6 +142,29 @@ def test_univ_program_agrees_on_loop_programs(mode):
         p = random_loop_program(rng)
         for d in random_inputs(rng, 2, max_nodes=7):
             check_some_fuels(u, [encode(p), d], mode, fuel=10**7)
+
+
+#: ``hd``, ``tl`` and ``=`` on the values that tell their compiled forms
+#: apart: atoms and pairs on either side of ``=``, a quoted atom in either
+#: order, distinct atoms of one name (every parsed token is a fresh atom),
+#: and equal pairs that share no node.  ``=`` is both a value and a test.
+OPERATOR_CASES = [
+    ("((d) (:= out (cons (hd d) (tl d))) out)", ["()", "a", "(a b)"]),
+    ("((d) (if (= d (QUOTE a)) (:= out (= (QUOTE a) d)) "
+     "(:= out (cons (= (QUOTE a) d) d))) out)", ["(a)", "a"]),
+    ("((d) (if (= (hd d) (tl d)) (:= out d) (:= out (= (tl d) (hd d)))) out)",
+     ["(a . a)", "((a b) a b)", "((a b) a c)", "((a) . a)"]),
+]
+
+
+@pytest.mark.parametrize("text, args", OPERATOR_CASES,
+                         ids=["hd-tl", "quoted-atom", "generic"])
+@pytest.mark.parametrize("mode", MODES)
+def test_operators_agree_at_every_fuel(text, args, mode):
+    p = dec(text)
+    for arg in args:
+        check_every_fuel(p, [parse(arg)], mode)
+        check_every_fuel(univ_program(), [encode(p), parse(arg)], mode)
 
 
 @pytest.mark.parametrize("text, args, status", [

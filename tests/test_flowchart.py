@@ -36,6 +36,14 @@ def test_node_classes_take_their_fields_positionally(cls):
                 cls(*range(wrong))
 
 
+def test_a_node_shows_its_kind_and_fields_and_its_children_by_kind():
+    assert repr(asg("x", cons(V("d"), QA("a")))) == "Assign(var='x', expr=Cons)"
+    assert repr(V("d")) == "Var(name='d')"
+    assert repr(Quote(parse("(a b)"))) == "Quote(value=<sexpr (a b)>)"
+    assert repr(SelfRef()) == "SelfRef()"
+    assert repr(_deep(V("d"))) == "While(test=Var, body=While)"
+
+
 def test_decode_projection():
     p = dec("((q d) (:= out q) out)")
     assert p.inputs == ("q", "d")
@@ -325,6 +333,8 @@ MISPLACED = [
     ("expression-as-body", lambda: V("d"), True),
     ("deep-expression-as-body", lambda: _deep(V("d")), True),
     ("deep-non-node", lambda: _deep(Assign("x", "junk")), False),
+    ("command-as-univ-operand",
+     lambda: asg("x", univ(Assign("y", V("d")), 5)), False),
 ]
 
 
@@ -382,7 +392,9 @@ def test_walkers_reject_a_value_that_is_no_node(walk, sweeps):
     # every walk rejects what run rejects, naming the same node; dead-code
     # elimination names an expression where a command belongs its own way
     cases = [("non-node", lambda: seq(asg("y", V("d")), Assign("x", "junk")),
-              False), *MISPLACED]
+              False),
+             ("quoted-non-sexpr", lambda: asg("x", hd(Quote(5))), False),
+             *MISPLACED]
     for name, build, expression_as_command in cases:
         body = build()
         messages = set()
@@ -391,6 +403,7 @@ def test_walkers_reject_a_value_that_is_no_node(walk, sweeps):
                 run(prog(("d",), body, "x"), [parse("a")], 100, mode)
             messages.add(str(info.value))
         (message,) = messages
+        assert "object at 0x" not in message, name
         if sweeps and expression_as_command:
             message = message.replace("cannot compile ", "cannot sweep ", 1)
         with pytest.raises(TypeError) as info:
@@ -549,7 +562,7 @@ def test_quoted_atom_names_share_one_compiled_shape(monkeypatch):
     source = _Emitter(first, False).source()
     assert source == _Emitter(second, False).source()
     assert "apple" not in source and "equal(" not in source
-    assert "K0 = C[0].name" in source and "v0.name == K0" in source
+    assert "K0 = C[0].name" in source and "v0._nm == K0" in source
     args = [parse("pear")]
     run(first, args, 100)
     entries = len(_SHAPES)

@@ -147,6 +147,19 @@ def test_atoms_differ_by_name():
     assert equal(Atom("a"), Atom("a"))
 
 
+def test_private_aliases_keep_atoms_and_pairs_apart_by_their_public_fields():
+    # code outside srtlab tells a pair from an atom by hasattr(v, "head")
+    a, b, p = Atom("a"), Atom("b"), Pair(Atom("a"), Atom("b"))
+    assert not hasattr(a, "head") and not hasattr(a, "tail")
+    assert not hasattr(p, "name")
+    assert a._hd is NIL and a._tl is NIL and NIL._hd is NIL
+    assert a._nm == "a" and Atom(None)._nm is None
+    assert p._hd is p.head and p._tl is p.tail
+    assert p._nm is Pair(b, a)._nm
+    for atom in (a, b, NIL, Atom(None), Atom(""), Atom(0)):
+        assert not p._nm == atom._nm and not atom._nm == p._nm
+
+
 def test_unary_numerals():
     assert is_nil(to_unary(0))
     assert from_unary(to_unary(17)) == 17

@@ -12,7 +12,7 @@ from srtlab import flowchart
 from srtlab.build import QA, V, asg, cons, eq, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, Program, Quote, SelfRef, _SHAPES, _SHAPES_MAX, _Emitter,
-    _instance, _shape, command_vars, rename_command, run,
+    _instance, _shape, command_vars, encode, rename_command, run,
 )
 from srtlab.sexpr import Atom, parse, to_unary
 
@@ -167,8 +167,9 @@ def test_the_shape_cache_keeps_the_most_recently_used_shapes(monkeypatch):
     lambda: asg("out", cons(V("x"), 5)),
     lambda: wh(V("x"), asg("x", tl(V("x"))), "junk"),
     lambda: iff(eq(hd(V("x")), QA("a")), asg("out", V("x")), None),
+    lambda: asg("out", hd(Quote(5))),
 ], ids=["command-as-expression", "expression-as-command", "int-as-operand",
-        "str-as-command", "none-as-branch"])
+        "str-as-command", "none-as-branch", "quoted-int"])
 @pytest.mark.parametrize("mode", MODES)
 def test_a_malformed_program_fails_before_any_step_and_caches_nothing(body, mode):
     before = list(_SHAPES)
@@ -180,12 +181,15 @@ def test_a_malformed_program_fails_before_any_step_and_caches_nothing(body, mode
         _Emitter(program, mode == "reflective")
 
 
-def test_a_univ_call_in_plain_mode_is_a_leaf_of_the_shape():
-    # plain mode fails before the operands, so they are neither
-    # compiled nor checked, as the reference does
+def test_a_univ_call_in_plain_mode_is_checked_but_not_run():
+    # plain mode fails before the operands, as the reference does, but
+    # they are checked like any other node, as every walk checks them
     program = prog(("x",), asg("out", univ(Assign("y", V("x")), 5)), "out")
+    for walk in (lambda: run(program, [Atom("a")], 100), lambda: encode(program)):
+        with pytest.raises(TypeError) as info:
+            walk()
+        assert str(info.value) == "cannot compile Assign(var='y', expr=Var)"
+    program = prog(("x",), asg("out", univ(V("x"), hd(V("x")))), "out")
     r = run(program, [Atom("a")], 100)
     assert (r.status, r.steps, r.detail) == (
         r.ERROR, 0, "'univ' call outside reflective mode")
-    assert _shape(program, False)[0] == _shape(
-        prog(("x",), asg("out", univ(V("x"), V("x"))), "out"), False)[0]
