@@ -50,7 +50,8 @@ operands and its dispatch step.
 
 import sys
 
-from .sexpr import NIL, ONE, Atom, Pair, equal, from_list, is_nil, sexpr_print
+from .sexpr import (NIL, ONE, Atom, Pair, _check_value, equal, from_list,
+                    is_nil, sexpr_print)
 
 __all__ = [
     "Program", "Assign", "Seq", "While", "If",
@@ -253,8 +254,10 @@ def decode(s, allow_reserved=False):
 
     ``allow_reserved`` admits '%'-prefixed variables, which only appear
     in machine-generated programs; hand-written source is rejected.
-    Every node, and the program, keeps its source as its encoding.
+    Every node, and the program, keeps its source as its encoding.  A
+    ``TypeError`` if ``s`` is not an ``Atom`` or a ``Pair``.
     """
+    _check_value(s, "decode's argument")
     inputs_s, body_s, output_s = _expect_list(s, 3, "program")
     inputs = []
     rest = inputs_s

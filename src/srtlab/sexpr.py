@@ -16,6 +16,10 @@ tokenises with C string methods and builds its nodes without calling
 ``sexpr_print`` and ``measure`` walk each list's tail chain in a loop,
 keeping a stack only for nested list heads.
 
+``Atom`` takes only a ``str`` and ``Pair`` only atoms and pairs, so a
+value is closed at construction and no walk meets anything else; the
+walks check only their top-level argument.
+
 Every value also answers three private attributes with no type test,
 for the compiled flowchart executor: ``_hd`` and ``_tl`` (a pair's
 ``head`` and ``tail`` slots under a second name, ``()`` on an atom) and
@@ -57,6 +61,9 @@ class Atom(SExpr):
     __slots__ = ("name",)
 
     def __init__(self, name):
+        if not isinstance(name, str):
+            raise TypeError("an atom's name must be a str, "
+                            f"not {type(name).__name__}")
         self.name = name
 
 
@@ -64,8 +71,20 @@ class Pair(SExpr):
     __slots__ = ("head", "tail")
 
     def __init__(self, head, tail):
+        if (type(head) is not Atom and type(head) is not Pair
+                or type(tail) is not Atom and type(tail) is not Pair):
+            _check_value(head, "a pair's head")
+            _check_value(tail, "a pair's tail")
         self.head = head
         self.tail = tail
+
+
+def _check_value(s, what):
+    """``TypeError`` unless ``s`` is an ``Atom`` or a ``Pair``.  Both are
+    closed at construction, so a value's top node vouches for all of it."""
+    if type(s) is not Atom and type(s) is not Pair:
+        raise TypeError(f"{what} must be an Atom or a Pair, "
+                        f"not {type(s).__name__}")
 
 
 #: The empty list, a distinguished atom.  Equal-named atoms are equal, so
@@ -176,6 +195,7 @@ def sexpr_print(s):
     """
     if type(s) is Atom:
         return s.name
+    _check_value(s, "sexpr_print's argument")
     out = ["("]
     rests = []
     node = s  # a pair whose head is the next element to print
@@ -211,6 +231,7 @@ def measure(s):
     spine in ``frames``.  The pairs still unsized are then all ancestors
     of the node being sized, so no node is met again half-done.
     """
+    _check_value(s, "measure's argument")
     sizes = {}
     get = sizes.get
     frames = []  # suspended spines, each with the size of what follows it

@@ -48,14 +48,22 @@ again from the same base has the same generator and output texts, so it
 is neither re-tokenised nor re-tabled; a new base's texts are parsed
 whole, and a text that fails to parse raises as ``TrmProgram`` does.
 
-Each register is a deque of non-empty text chunks.  A summed-up loop
-reads its register with one join and appends each image as one chunk
-(``_image``: the text itself for a move or copy, else three
-``str.replace`` passes); a write run appends its text as one chunk; a
-stepped append adds a one-symbol chunk.  A stepped case pops one chunk
-and, if it is longer than a symbol, pushes the rest back one symbol a
-chunk, so each symbol is split out at most once and no run goes
-quadratic.  No chunk is empty, so an empty deque is an empty register.
+Each register is a deque of non-empty text chunks, with a count of its
+1s kept beside it: an input is counted once, as it is checked; a write
+run adds its text's count, a stepped append of 1 adds one, a stepped
+case that consumes a 1 takes one away, and a summed-up block's clear
+sets it to 0.  So a block's cost needs no pass over the text.  A
+summed-up loop reads its register with one join and appends each image
+as one chunk, together with a·o1 + b·h1 to the target's count, where o1
+and h1 are the 1-counts of the images of 1 and #.  ``_image`` builds an
+image from byte lanes: lane j is the j-th character of each symbol's
+image, a lane where both images agree is filled in with the rest, and
+each other lane is one ``bytes.translate`` of the text written through
+an extended slice; a move or copy appends the text itself.  A stepped
+append adds a one-symbol chunk.  A stepped case pops one chunk and, if
+it is longer than a symbol, pushes the rest back one symbol a chunk, so
+each symbol is split out at most once and no run goes quadratic.  No
+chunk is empty, so an empty deque is an empty register.
 
 The ``fast_assign`` variant is a cost rule on the same table: a move
 block between registers 1-8 costs one step and runs atomically, so the
@@ -91,13 +99,41 @@ def _illegal(text):
     return _ILLEGAL.search(text)
 
 
-def _image(text, one, hash_):
-    """``text``, over {1,#}, with each 1 replaced by ``one`` and each # by
-    ``hash_``, both over {1,#}: the text itself for the identity image,
-    else three C-speed passes through a NUL that no operand holds."""
+def _lanes(one, hash_):
+    """How ``_image`` applies the images ``one`` of 1 and ``hash_`` of #,
+    both over {1,#}: None for the identity image, else (w, fill, lanes).
+    w is the longer image's length; ``fill`` is the image of 1 padded to
+    w with NUL; ``lanes`` holds (j, table) for each lane j where the
+    padded images differ, ``table`` mapping 1 and # to their lane-j
+    characters."""
     if one == "1" and hash_ == "#":
+        return None
+    w = max(len(one), len(hash_))
+    fill = one.encode().ljust(w, b"\0")
+    other = hash_.encode().ljust(w, b"\0")
+    lanes = tuple((j, bytes.maketrans(b"1#", bytes((fill[j], other[j]))))
+                  for j in range(w) if fill[j] != other[j])
+    return w, fill, lanes
+
+
+def _image(text, lanes):
+    """``text``, over {1,#}, with each symbol replaced by its image under
+    ``lanes`` (``_lanes``): the text itself for the identity, else built
+    in w-byte strides.  The constant lanes come from repeating ``fill``;
+    each other lane j is the text translated by its table and written to
+    every w-th byte from j; then the NUL padding is deleted."""
+    if lanes is None:
         return text
-    return text.replace("1", "\0").replace("#", hash_).replace("\0", one)
+    w, fill, variable = lanes
+    data = text.encode()
+    out = bytearray(fill * len(text))
+    for j, table in variable:
+        out[j::w] = data.translate(table)
+    return out.translate(None, b"\0").decode()
+
+
+#: ``write_code``'s images: 1 as ``1#`` and # as ``1##``.
+_WRITE = _lanes("1#", "1##")
 
 
 class TrmParseError(ValueError):
@@ -135,7 +171,7 @@ def _parse_instructions(raw):
 
 def trm_print(program):
     """Serialise back to the raw {1,#} string."""
-    return program.raw
+    return _checked(program).raw
 
 
 class TrmProgram:
@@ -168,7 +204,9 @@ class TrmProgram:
             for run in re.finditer(rb"[\x01\x02]{2,}", ops):
                 k, end = run.span()
                 blocks[k + 1] = (end + 1, 0, end - k, 0, 0,
-                                 _appends(instrs[k:end]), False)
+                                 [(n, text, text.count("1"))
+                                  for n, text in _appends(instrs[k:end])],
+                                 False)
             for case in re.finditer(rb"\x05\x03\x03", ops):
                 k = case.start()
                 h = instrs[k + 2][1] - 2
@@ -185,6 +223,13 @@ class TrmProgram:
             names = {n for op, n in set(instrs) if op in (1, 2, 5)}
             self._blocks = (blocks, names)
         return self._blocks
+
+
+def _checked(program):
+    """``program``, if it is a ``TrmProgram``; else ``TypeError``."""
+    if not isinstance(program, TrmProgram):
+        raise TypeError(f"expected a TrmProgram, not {type(program).__name__}")
+    return program
 
 
 #: Programs by text, each parsed and tabled once while it is cached.
@@ -205,9 +250,10 @@ def _appends(body):
 def _loop_block(loop):
     """The summary of ``loop``, the instructions of one ``_loop`` shape
     whose bounds the caller has checked, or None: (r, fixed cost, cost per
-    1, cost per #, ((n, image of 1, image of #), ...), whether it is a move
-    between registers 1-8).  The images of a register are what the bodies
-    append to it on a 1 and on a #; ``_image`` applies them."""
+    1, cost per #, ((n, lanes, o1, h1), ...), whether it is a move between
+    registers 1-8).  The images of register n are what the bodies append
+    to it on a 1 and on a #: ``lanes`` is how ``_image`` applies them, and
+    o1 and h1 are their counts of 1s."""
     r = loop[0][1]
     h = loop[2][1] - 2
     o = len(loop) - 5 - h
@@ -217,11 +263,13 @@ def _loop_block(loop):
             or any(op > 2 or n == r for op, n in on_hash + on_one)):
         return None
     hashes, ones = dict(_appends(on_hash)), dict(_appends(on_one))
-    outs = tuple((n, ones.get(n, ""), hashes.get(n, ""))
-                 for n in hashes.keys() | ones.keys())
+    outs = []
+    for n in hashes.keys() | ones.keys():
+        one, hash_ = ones.get(n, ""), hashes.get(n, "")
+        outs.append((n, _lanes(one, hash_), one.count("1"), hash_.count("1")))
     move = (h == o == 1 and on_hash[0][0] == 2 and on_one[0][0] == 1
             and on_hash[0][1] == on_one[0][1] <= 8 and r <= 8)
-    return (r, 2, o + 3, h + 2, outs, move)
+    return (r, 2, o + 3, h + 2, tuple(outs), move)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +320,7 @@ def write_code(text):
     """
     if _illegal(text):
         raise ValueError("write_code needs text over {1,#}")
-    return _image(text, "1#", "1##")
+    return _image(text, _WRITE)
 
 
 def _emit_loop(src, dst):
@@ -333,7 +381,7 @@ def trm_s11_program():
 
 def trm_compose(p, q):
     """Concatenation; behaves as q after p when p halts normally."""
-    return TrmProgram(p.raw + q.raw)
+    return TrmProgram(_checked(p).raw + _checked(q).raw)
 
 
 def trm_moss_qhat(p):
@@ -344,7 +392,7 @@ def trm_moss_qhat(p):
     i.e. a program that stashes its input, computes r on its own text
     into R1, restores the input into R2, and runs p.
     """
-    return _program(_qhat_head() + write_code(p.raw))
+    return _program(_qhat_head() + write_code(_checked(p).raw))
 
 
 @functools.cache
@@ -373,7 +421,7 @@ def trm_kleene_fixpoint(p, fuel=10**7):
     p(s11(q, q), d): stash d in R4, duplicate q, run the specialiser
     body, restore d, run p.  Then p* = run(s11, [p~, p~]).
     """
-    p_tilde = _p_tilde_head() + p.raw
+    p_tilde = _p_tilde_head() + _checked(p).raw
     result = trm_run(trm_s11_program(), [p_tilde, p_tilde], fuel)
     if result.status != TrmResult.HALTED:
         raise RuntimeError(f"specialiser run failed: {result.status}")
@@ -396,7 +444,7 @@ def setup_boundary(pstar, p):
     spent before control first reaches that segment are the set-up phase
     (computing the self-copy).
     """
-    k = len(pstar.instrs) - len(p.instrs)
+    k = len(_checked(pstar).instrs) - len(_checked(p).instrs)
     if k < 0 or pstar.instrs[k:] != p.instrs:
         raise ValueError("p is not a suffix of p*")
     return k + 1
@@ -426,6 +474,9 @@ class TrmResult:
 def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     """Execute with the arguments in R1, R2, ...; result is R1.
 
+    ``inputs`` is a list or tuple of str over {1,#}; anything else raises
+    ``TypeError``, and a character outside {1,#} ``ValueError``.
+
     ``boundary`` (instruction index) marks where the set-up phase ends:
     ``setup_steps`` records the count when control first reaches it.
     """
@@ -436,16 +487,23 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     if variant not in ("standard", "fast_assign"):
         raise ValueError(f"unknown variant {variant!r}")
     fast = variant == "fast_assign"
-    blocks, names = program._summaries()
+    blocks, names = _checked(program)._summaries()
+    if not isinstance(inputs, (list, tuple)):
+        raise TypeError("inputs must be a list or tuple of str, "
+                        f"not {type(inputs).__name__}")
     named = names.union(range(len(inputs) + 1))     # R0 is always empty
     regs = [None] * (max(named) + 1)    # no deque for a register never named
     for n in named:
         regs[n] = deque()
-    for reg, text in zip(regs[1:], inputs):
-        if _illegal(text):
+    ones = [0] * len(regs)              # the count of 1s in each register
+    for n, text in enumerate(inputs, 1):
+        if type(text) is not str:
+            raise TypeError(f"inputs must be str, not {type(text).__name__}")
+        ones[n] = text.count("1")
+        if ones[n] + text.count("#") != len(text):
             raise ValueError("register contents must be over {1,#}")
         if text:
-            reg.append(text)
+            regs[n].append(text)
     table = program.instrs
     length = len(table)
     never = sys.maxsize             # beyond any counter a program can reach
@@ -463,23 +521,24 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
             atomic = fast and move
             if end <= mark or atomic:
                 text = "".join(regs[r])     # R0, always empty, for a write run
-                if atomic:
-                    cost = 1
-                else:
-                    ones = text.count("1")
-                    cost = base + per_one * ones + per_hash * (len(text) - ones)
+                a = ones[r]
+                b = len(text) - a
+                cost = 1 if atomic else base + per_one * a + per_hash * b
                 if cost <= fuel - steps:
                     steps += cost
                     pc = end
                     if r:
                         regs[r].clear()
-                        for n, one, hash_ in outs:
-                            add = _image(text, one, hash_)
+                        ones[r] = 0
+                        for n, lanes, o1, h1 in outs:
+                            add = _image(text, lanes)
                             if add:             # no empty chunk
                                 regs[n].append(add)
+                                ones[n] += a * o1 + b * h1
                     else:
-                        for n, add in outs:
+                        for n, add, c in outs:
                             regs[n].append(add)
+                            ones[n] += c
                     continue
                 blocks = {}         # the fuel runs out inside this block
         if not 0 < pc <= length:
@@ -497,19 +556,24 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
                 pc += 1
             else:
                 chunk = reg.popleft()
-                if chunk == "1":
-                    pc += 2
-                elif chunk == "#":
-                    pc += 3
-                else:   # split each symbol out once: no run goes quadratic
+                if len(chunk) > 1:  # split once: no run goes quadratic
                     reg.extendleft(reversed(chunk[1:]))
-                    pc += 2 if chunk[0] == "1" else 3
+                    chunk = chunk[0]
+                if chunk == "1":
+                    ones[n] -= 1
+                    pc += 2
+                else:
+                    pc += 3
         elif op == 4:
             pc -= n
         elif op == 3:
             pc += n
+        elif op == 1:
+            regs[n].append("1")
+            ones[n] += 1
+            pc += 1
         else:
-            regs[n].append("1#"[op - 1])
+            regs[n].append("#")
             pc += 1
     registers = {k: "".join(v) for k, v in enumerate(regs) if v}
     output = registers.get(1, "")

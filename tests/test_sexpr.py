@@ -3,9 +3,10 @@ import re
 
 import pytest
 
+from srtlab.flowchart import decode
 from srtlab.sexpr import (
-    NIL, Atom, Pair, ParseError, dag_size, equal, from_unary, is_nil,
-    measure, parse, sexpr_print, to_unary, tree_size,
+    NIL, Atom, Pair, ParseError, dag_size, equal, from_list, from_unary,
+    is_nil, measure, parse, sexpr_print, to_unary, tree_size,
 )
 
 from proggen import random_sexpr
@@ -153,11 +154,36 @@ def test_private_aliases_keep_atoms_and_pairs_apart_by_their_public_fields():
     assert not hasattr(a, "head") and not hasattr(a, "tail")
     assert not hasattr(p, "name")
     assert a._hd is NIL and a._tl is NIL and NIL._hd is NIL
-    assert a._nm == "a" and Atom(None)._nm is None
+    assert a._nm == "a" and Atom("")._nm == ""
     assert p._hd is p.head and p._tl is p.tail
     assert p._nm is Pair(b, a)._nm
-    for atom in (a, b, NIL, Atom(None), Atom(""), Atom(0)):
+    for atom in (a, b, NIL, Atom(""), Atom("()")):
         assert not p._nm == atom._nm and not atom._nm == p._nm
+
+
+#: Python values that are no s-expression.
+NON_VALUES = [None, 0, 5, 1.5, "a", b"a", ("a",), [NIL], Atom]
+
+
+@pytest.mark.parametrize("bad", NON_VALUES, ids=repr)
+def test_values_are_closed_at_construction(bad):
+    if not isinstance(bad, str):
+        with pytest.raises(TypeError, match="atom's name must be a str"):
+            Atom(bad)
+    with pytest.raises(TypeError, match="pair's head must be an Atom or a Pair"):
+        Pair(bad, NIL)
+    with pytest.raises(TypeError, match="pair's tail must be an Atom or a Pair"):
+        Pair(NIL, bad)
+    for walk in (sexpr_print, measure, decode):
+        with pytest.raises(TypeError, match="must be an Atom or a Pair"):
+            walk(bad)
+
+
+def test_a_pair_holding_a_non_value_deeper_down_cannot_be_built():
+    with pytest.raises(TypeError):
+        Pair(Atom("a"), Pair(5, NIL))
+    with pytest.raises(TypeError):
+        from_list([Atom("a"), 5])
 
 
 def test_unary_numerals():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from srtlab.trm import (
-    TrmParseError, TrmProgram, _image, _loop, setup_boundary, trm_compose,
-    trm_diag_program, trm_erase, trm_kleene_fixpoint, trm_move,
+    TrmParseError, TrmProgram, _image, _lanes, _loop, setup_boundary,
+    trm_compose, trm_diag_program, trm_erase, trm_kleene_fixpoint, trm_move,
     trm_moss_fixpoint, trm_moss_qhat, trm_parse, trm_print, trm_run,
     trm_s11_program, trm_write_program, write_code,
 )
@@ -121,13 +121,22 @@ IMAGES = ["".join(symbols) for size in range(4)
           for symbols in itertools.product("1#", repeat=size)]
 
 
+def long_text(size_and_seed):
+    size, seed = size_and_seed
+    rng = random.Random(seed)
+    return "".join(rng.choice("1#") for _ in range(size))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(text=st.text("1#", max_size=24))
+@given(text=st.text("1#", max_size=24)
+       | st.tuples(st.integers(25, 3000), st.integers(0, 2**32)).map(long_text))
 @example(text="")
+@example(text="1" * 3000)
+@example(text="#" * 2999)
 def test_image_replaces_each_symbol_by_its_image(text):
     for one, hash_ in itertools.product(IMAGES, repeat=2):
-        expected = "".join(one if c == "1" else hash_ for c in text)
-        assert _image(text, one, hash_) == expected
+        expected = "".join(map({"1": one, "#": hash_}.__getitem__, text))
+        assert _image(text, _lanes(one, hash_)) == expected
 
 
 def test_write_cost_is_linear():
@@ -275,6 +284,32 @@ def test_fast_assign_move_block_is_one_step():
 def test_inputs_validated():
     with pytest.raises(ValueError):
         trm_run(trm_parse("1#"), ["abc"], 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trm_run("1#", []),
+    lambda: trm_moss_fixpoint(5),
+    lambda: trm_kleene_fixpoint("1#"),
+    lambda: trm_moss_qhat(5),
+    lambda: setup_boundary("1#", "1#"),
+    lambda: trm_compose("1#", "1#"),
+    lambda: trm_compose(trm_parse("1#"), None),
+    lambda: trm_print("1#"),
+], ids=["run", "moss", "kleene", "qhat", "boundary", "compose", "compose-q",
+        "print"])
+def test_a_non_program_is_rejected_with_type_error(call):
+    with pytest.raises(TypeError, match="expected a TrmProgram, not"):
+        call()
+
+
+@pytest.mark.parametrize("inputs", [
+    "1#", b"1#", None, 5, {"1": "#"}, ["1", 1], ("#", None), [b"1"],
+], ids=repr)
+def test_inputs_are_a_list_or_tuple_of_str(inputs):
+    with pytest.raises(TypeError, match="inputs must be"):
+        trm_run(trm_parse("1#"), inputs, 10)
+    assert trm_run(trm_parse("1#"), ("1", "#"), 10).registers == \
+        {1: "11", 2: "#"}
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +549,38 @@ def test_an_empty_translation_leaves_its_target_empty():
         full = agree_at_every_fuel(program, inputs, (None, 9))
         assert full.status == "halted"
         assert (5 in full.registers) == ("#" in inputs[1])
+
+
+def stepped_appends(n, symbols):
+    """Append ``symbols`` to R_n one stepped instruction each: a forward
+    jump of one after each append keeps it out of a write run."""
+    return "".join(ins(1 if c == "1" else 2, n) + ins(3, 1) for c in symbols)
+
+
+#: Each program changes a register's count of 1s one way, then prices a
+#: summed-up loop on that register: stepped cases that consume 1s (from
+#: a longer chunk, then from one-symbol chunks), stepped appends, a write
+#: run, a loop's or an erase's clear followed by appends, and a loop's
+#: images read by the next loop.
+COUNTED = [
+    probe(1, 3) + probe(1, 3) + probe(1, 3) + trm_move(1, 2).raw,
+    stepped_appends(1, "1#11") + trm_move(1, 2).raw,
+    write_code("11#1") + LOOPS[2] + trm_move(3, 1).raw,
+    trm_move(1, 2).raw + stepped_appends(1, "11#") + trm_move(1, 3).raw,
+    trm_erase(1).raw + stepped_appends(1, "1#1") + trm_move(1, 3).raw,
+    LOOPS[1] + trm_move(2, 3).raw + LOOPS[7] + trm_move(2, 1).raw
+    + trm_move(3, 1).raw,
+    probe(2, 4) + LOOPS[4] + probe(3, 5) + trm_move(3, 1).raw,
+]
+
+
+@pytest.mark.parametrize("index", range(len(COUNTED)))
+def test_summed_up_loops_after_each_change_to_a_count(index):
+    program = trm_parse(COUNTED[index])
+    for data in ("", "1", "#", "11#1", "1#1##11", "#111#1"):
+        full = agree_at_every_fuel(program, [data, data[::-1], "1"],
+                                   (None, len(program) // 2))
+        assert full.status == "halted"
 
 
 # ---------------------------------------------------------------------------
