@@ -81,7 +81,15 @@ class Program:
         self._compiled = None
 
     def __repr__(self):
-        return f"<program ({' '.join(self.inputs)}) -> {self.output}>"
+        inputs = " ".join(map(str, self.inputs))
+        return f"<program ({inputs}) -> {self.output}>"
+
+
+def _checked(program):
+    """``program``, if it is a ``Program``; else ``TypeError``."""
+    if not isinstance(program, Program):
+        raise TypeError(f"expected a Program, not {type(program).__name__}")
+    return program
 
 
 class _Node:
@@ -435,7 +443,8 @@ def is_tiny(program):
     """True iff the body is straight-line: assignment and sequencing only.
     Every node is visited, so a misplaced one raises ``TypeError`` as in
     ``_nodes``."""
-    kinds = {type(node) for node, _ in _nodes(program.body, _KINDS[_CMD])}
+    kinds = {type(node) for node, _ in _nodes(_checked(program).body,
+                                              _KINDS[_CMD])}
     return kinds.isdisjoint((While, If, SelfRef, UnivCall))
 
 
@@ -760,12 +769,16 @@ def _shape(program, reflective):
     ``names`` maps each variable to its index, ``quotes`` each Quote
     node's id to the index of its constant in ``consts``, and
     ``uses_self`` is true if the program reads ``*`` in reflective mode.
-    A value where no node of its kind belongs, by ``_KINDS``, or a
-    quoted value that is not an s-expression raises ``TypeError``; so
-    do the operands of a univ call in plain mode, though it fails
-    before running them.
+    A value where no node of its kind belongs, by ``_KINDS``, a quoted
+    value that is not an s-expression, or a variable name that is not
+    a ``str`` raises ``TypeError``; so do the operands of a univ call in
+    plain mode, though it fails before running them.
     """
-    names = {name: i for i, name in enumerate(program.inputs)}
+    names = {}
+    for name in program.inputs:
+        if type(name) is not str:
+            raise _misnamed(program, name)
+        names[name] = len(names)
     quotes, consts = {}, []
     key = [reflective, len(names)]
     uses_self = False
@@ -777,8 +790,14 @@ def _shape(program, reflective):
         if children is None:
             raise TypeError(f"cannot compile {node!r}")
         key.append(cls)
-        if cls is Var:
-            key.append(names.setdefault(node.name, len(names)))
+        if cls is Var or cls is Assign:
+            name = node.name if cls is Var else node.var
+            i = names.get(name)
+            if i is None:
+                if type(name) is not str:
+                    raise _misnamed(node, name)
+                i = names[name] = len(names)
+            key.append(i)
         elif cls is Quote:
             i = quotes.get(id(node))
             if i is None:
@@ -791,14 +810,21 @@ def _shape(program, reflective):
                 key.append(kind)
             else:
                 key.append(i)
-        elif cls is Assign:
-            key.append(names.setdefault(node.var, len(names)))
         elif cls is SelfRef:
             uses_self = reflective
         for field, sub in children:
             todo.append((getattr(node, field), sub))
+    if type(program.output) is not str:
+        raise _misnamed(program, program.output)
     key.append(names.setdefault(program.output, len(names)))
     return tuple(key), names, quotes, consts, uses_self
+
+
+def _misnamed(node, name):
+    """The ``TypeError`` for ``name``, a name field of ``node`` that is
+    not a ``str``."""
+    return TypeError(f"cannot compile {node!r}: a name must be a str, "
+                     f"not {type(name).__name__}")
 
 
 #: The ``make`` function of each compiled shape, least recently used
@@ -912,7 +938,8 @@ def run(program, args, fuel=10**7, mode="plain"):
     ``expr_vars``, ``rename_command``) reads the same placement table,
     ``_KINDS``, and rejects what ``run`` rejects, naming the same node.
 
-    ``fuel`` must be an ``int`` and each argument an ``Atom`` or a
+    ``program`` must be a ``Program`` whose variable names are each a
+    ``str``, ``fuel`` an ``int`` and each argument an ``Atom`` or a
     ``Pair``; anything else raises ``TypeError`` before any step runs.
 
     Memory grows with univ nesting: each pending univ call holds one
@@ -924,7 +951,7 @@ def run(program, args, fuel=10**7, mode="plain"):
     is made again with every univ call in a chain of its own, and gives
     the same result.
     """
-    if len(args) != len(program.inputs):
+    if len(args) != len(_checked(program).inputs):
         raise ValueError(
             f"program expects {len(program.inputs)} arguments, got {len(args)}")
     if type(fuel) is not int:  # a bool is no fuel either

@@ -21,7 +21,9 @@ well-formed encoded program yields garbage (deterministically).
 import functools
 
 from .build import QA, QNIL, V, asg, atomp, cons, eq, hd, iff, seq, tl, wh
-from .flowchart import RESERVED_PREFIX, Program, Quote, decode, encode, run
+from .flowchart import (
+    RESERVED_PREFIX, Program, Quote, _checked, decode, encode, run,
+)
 from .sexpr import NIL, Atom, Pair, tree_size
 from .specializer import s11_program
 
@@ -231,7 +233,7 @@ def univ_program():
 
 def wrap_nullary(program):
     """Lift a zero-input program to one ignored input, for interpretation."""
-    if program.inputs:
+    if _checked(program).inputs:
         raise ValueError("program already has inputs")
     return Program((f"{RESERVED_PREFIX}ignored",), program.body, program.output)
 
@@ -242,7 +244,7 @@ def interpreter_wrapped(program):
     Stacking this wrapper multiplies the interpretation overhead once
     per layer, which is how nested self-interpretation blows up.
     """
-    if len(program.inputs) != 1:
+    if len(_checked(program).inputs) != 1:
         raise ValueError("need a one-input program")
     u = univ_program()
     arg = f"{RESERVED_PREFIX}arg"
@@ -269,7 +271,7 @@ def measure_overhead(program, inputs, fuel=10**7):
     time_univ, ratio)`` per input on which both runs halt, and a verdict
     that starts with ``"partial"`` iff some run did not halt.
     """
-    if len(program.inputs) != 1:
+    if len(_checked(program).inputs) != 1:
         raise ValueError("overhead measurement takes one-input programs")
     u = univ_program()
     p_enc = encode(program)
@@ -313,7 +315,7 @@ def futamura(stage, source=None, fuel=10**7):
     if stage == "target":
         if source is None:
             raise ValueError("stage 'target' needs a source program")
-        result = run(s11, [encode(u), encode(source)], fuel)
+        result = run(s11, [encode(u), encode(_checked(source))], fuel)
     elif stage == "compiler":
         result = run(s11, [encode(s11), encode(u)], fuel)
     elif stage == "cogen":

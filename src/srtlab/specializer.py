@@ -11,7 +11,7 @@ import functools
 from .build import QA, V, asg, hd, lst, prog, seq, tl
 from .flowchart import (
     RESERVED_PREFIX, Assign, If, Program, Quote, SelfRef, Seq, UnivCall, Var,
-    While, _EXPR, _KINDS, _nodes, _walk, expr_vars,
+    While, _EXPR, _KINDS, _checked, _nodes, _walk, expr_vars,
 )
 from .sexpr import NIL
 
@@ -25,7 +25,7 @@ def specialize(program, value):
     quoted value to the removed input variable.  Both the value and the
     original body are referenced, not copied.
     """
-    if not program.inputs:
+    if not _checked(program).inputs:
         raise ValueError("cannot specialize a program with no inputs")
     frozen = program.inputs[0]
     return Program(
@@ -70,7 +70,7 @@ def eliminate_dead_code(program):
     run forever.
     """
     reads = {}
-    _walk(_reads(program.body, None, reads))
+    _walk(_reads(_checked(program).body, None, reads))
     body = _walk(_sweep(program.body, {program.output}, reads))
     if body is None:
         body = Assign(program.output, Var(program.output))

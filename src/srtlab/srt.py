@@ -15,8 +15,8 @@ from .build import (
     QA, QNIL, V, asg, cons, eq, hd, iff, lst, prog, seq, tl, univ, wh,
 )
 from .flowchart import (
-    Program, Quote, RESERVED_PREFIX, Seq, SelfRef, command_vars, decode,
-    encode, rename_command, run,
+    Program, Quote, RESERVED_PREFIX, Seq, SelfRef, _checked, command_vars,
+    decode, encode, rename_command, run,
 )
 from .selfint import univ_program
 from .sexpr import NIL, Atom, Pair, from_list
@@ -54,7 +54,7 @@ def kleene_intermediate(p):
     specialiser body (its working variables moved into the reserved
     namespace), then runs p's body on the result.
     """
-    if len(p.inputs) != 2:
+    if len(_checked(p).inputs) != 2:
         raise ValueError("the construction takes two-input programs")
     _check_no_reserved(p, "the base program")
     q = p.inputs[0]
@@ -103,7 +103,7 @@ def compose(p, q):
     q's variables are renamed apart, except its input, which is unified
     with p's output; the result reads p's input and writes q's output.
     """
-    if len(p.inputs) != 1 or len(q.inputs) != 1:
+    if len(_checked(p).inputs) != 1 or len(_checked(q).inputs) != 1:
         raise ValueError("composition takes one-input programs")
     taken = _program_vars(p) | _program_vars(q)
     mapping = {}
@@ -139,7 +139,7 @@ def moss_qhat(p):
     stashed input to p's body.  Then moss_fixpoint(p) is just qhat run
     on its own text.
     """
-    if len(p.inputs) != 2:
+    if len(_checked(p).inputs) != 2:
         raise ValueError("the construction takes two-input programs")
     _check_no_reserved(p, "the base program")
     clashes = sorted(_program_vars(p) & _BUILDER_VARS)

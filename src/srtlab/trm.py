@@ -42,6 +42,19 @@ steps one instruction at a time instead when a block costs more than
 the fuel left, or when it ends past the set-up boundary, so exhaustion
 and ``setup_steps`` stay exact.
 
+From a program's second run on, the runner also applies each chain of
+two or more blocks that follow each other, each ending where the next
+begins, in one iteration.  A chain stops at the first pc with no block
+and before a block that ends past the boundary.  ``_chain`` composes
+it, once per program, start and boundary, into one transformer of the
+registers: each register it touches becomes constant texts and images
+of the registers' texts at its start, and its cost, the sum of its
+blocks' costs, is linear in their counts of 1s and #s.  So the
+self-text that a fixpoint's set-up rebuilds on every run is built once.
+A chain that costs more than the fuel left runs block by block.  A
+program's first run composes no chain: a program run once would pay
+for composing and gain nothing.
+
 Both fixpoints and ``trm_moss_qhat`` look their program up by its whole
 text among the 64 most recently built (``_program``).  A fixpoint built
 again from the same base has the same generator and output texts, so it
@@ -175,7 +188,7 @@ def trm_print(program):
 
 
 class TrmProgram:
-    __slots__ = ("raw", "instrs", "_blocks")
+    __slots__ = ("raw", "instrs", "_blocks", "_chains")
 
     def __init__(self, raw):
         bad = _illegal(raw)
@@ -185,6 +198,7 @@ class TrmProgram:
         self.raw = raw
         self.instrs = _parse_instructions(raw)
         self._blocks = None
+        self._chains = None         # a _Chains from the first run on
 
     def __len__(self):
         return len(self.instrs)
@@ -270,6 +284,114 @@ def _loop_block(loop):
     move = (h == o == 1 and on_hash[0][0] == 2 and on_one[0][0] == 1
             and on_hash[0][1] == on_one[0][1] <= 8 and r <= 8)
     return (r, 2, o + 3, h + 2, tuple(outs), move)
+
+
+class _Chains(dict):
+    """(start pc, mark) -> the chain of blocks from that pc (``_chain``),
+    or None; each is composed the first time it is looked up."""
+
+    def __init__(self, blocks):
+        super().__init__()
+        self.blocks = blocks
+
+    def __missing__(self, key):
+        self[key] = chain = _chain(self.blocks, *key)
+        return chain
+
+
+def _chain(blocks, pc, mark):
+    """The blocks that follow each other from ``pc``, up to the first pc
+    with no block or before the first block that ends past ``mark``,
+    composed into one transformer of the registers; None for fewer than
+    two blocks.
+
+    The chain's sources are the registers it touches; A_i and B_i are
+    the counts of 1s and #s in the i-th of them at the chain's start.
+    While composing, each source holds a list of pieces, each a constant
+    text or (i, one, hash_): the i-th source's text at the start with
+    each 1 replaced by ``one`` and each # by ``hash_``.  A loop images each
+    piece of its register: a constant once, here, and a source piece by
+    composing the two images.  Each source also holds the linear forms
+    of its 1s and #s in the A_i and B_i, as lists of coefficients: the
+    constant at 0, A_i at 2i + 1 and B_i at 2i + 2.  A block's cost is
+    linear in the forms of the register it reads, and so are the forms
+    of the images it appends.
+
+    The result is (end, sources, standard cost, fast cost, writes), a
+    form now being ((index, coefficient), ...) over ``counts`` = [1, A_0,
+    B_0, A_1, B_1, ...].  A run joins each source once into ``texts``,
+    evaluates the cost, and writes each register of (n, parts, 1-count
+    form): the join of its parts, each a constant or an image (i,
+    lanes) of ``texts[i]``."""
+    chain = []
+    block = blocks.get(pc)
+    while block is not None and block[0] <= mark:
+        chain.append(block)
+        block = blocks.get(block[0])
+    if len(chain) < 2:
+        return None
+    sources = tuple(sorted({r for _, r, *_ in chain if r}
+                           | {out[0] for block in chain for out in block[5]}))
+    zero = [0] * (2 * len(sources) + 1)
+    regs = {}
+    for i, n in enumerate(sources):
+        ones, hashes = zero[:], zero[:]
+        ones[2 * i + 1] = hashes[2 * i + 2] = 1
+        regs[n] = ([(i, "1", "#")], ones, hashes)
+    std, fast = zero[:], zero[:]
+    for _, r, base, per_one, per_hash, outs, move in chain:
+        cost = zero[:]
+        cost[0] = base
+        if r:
+            pieces, a, b = regs[r]
+            regs[r] = ([], zero[:], zero[:])
+            for j in range(len(zero)):
+                cost[j] += per_one * a[j] + per_hash * b[j]
+            for n, lanes, o1, h1 in outs:
+                target, ones, hashes = regs[n]
+                for piece in pieces:
+                    if type(piece) is str:
+                        _append(target, _image(piece, lanes))
+                    else:
+                        i, one, hash_ = piece
+                        _append(target, (i, _image(one, lanes),
+                                         _image(hash_, lanes)))
+                o2 = len(_image("1", lanes)) - o1   # the #s of each image
+                h2 = len(_image("#", lanes)) - h1
+                for j in range(len(zero)):
+                    ones[j] += o1 * a[j] + h1 * b[j]
+                    hashes[j] += o2 * a[j] + h2 * b[j]
+        else:                       # a write run
+            for n, text, c in outs:
+                target, ones, hashes = regs[n]
+                _append(target, text)
+                ones[0] += c
+                hashes[0] += len(text) - c
+        for j in range(len(zero)):
+            std[j] += cost[j]
+            if not move:
+                fast[j] += cost[j]
+        if move:                    # one step under fast_assign
+            fast[0] += 1
+
+    def form(coefficients):
+        return tuple((j, k) for j, k in enumerate(coefficients) if k)
+
+    writes = tuple(
+        (n, tuple(piece if type(piece) is str
+                  else (piece[0], _lanes(piece[1], piece[2]))
+                  for piece in pieces), form(ones))
+        for n, (pieces, ones, _) in regs.items())
+    return chain[-1][0], sources, form(std), form(fast), writes
+
+
+def _append(pieces, piece):
+    """Append ``piece`` to a register's pieces, joined to a constant
+    before it."""
+    if type(piece) is str and pieces and type(pieces[-1]) is str:
+        pieces[-1] += piece
+    else:
+        pieces.append(piece)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +626,9 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
             raise ValueError("register contents must be over {1,#}")
         if text:
             regs[n].append(text)
+    chains = program._chains        # None on the first run: no chains
+    if chains is None:
+        program._chains = _Chains(blocks)
     table = program.instrs
     length = len(table)
     never = sys.maxsize             # beyond any counter a program can reach
@@ -517,6 +642,38 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
             mark = never
         block = blocks.get(pc)
         if block is not None:
+            chain = None if chains is None else chains[pc, mark]
+            if chain is not None:
+                end, sources, std, fast_cost, writes = chain
+                texts = []
+                counts = [1]
+                for s in sources:
+                    text = "".join(regs[s])
+                    texts.append(text)
+                    a = ones[s]
+                    counts.append(a)
+                    counts.append(len(text) - a)
+                cost = 0
+                for i, k in fast_cost if fast else std:
+                    cost += k * counts[i]
+                if cost <= fuel - steps:
+                    steps += cost
+                    pc = end
+                    for n, parts, form in writes:
+                        text = "".join([
+                            part if type(part) is str
+                            else _image(texts[part[0]], part[1])
+                            for part in parts])
+                        reg = regs[n]
+                        reg.clear()
+                        if text:
+                            reg.append(text)
+                        c = 0
+                        for i, k in form:
+                            c += k * counts[i]
+                        ones[n] = c
+                    continue
+                chains = None       # the fuel runs out inside this chain
             end, r, base, per_one, per_hash, outs, move = block
             atomic = fast and move
             if end <= mark or atomic:

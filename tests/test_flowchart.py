@@ -6,13 +6,18 @@ import pytest
 from srtlab import flowchart
 from srtlab.build import QA, QNIL, V, asg, cons, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
-    Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Quote, RunResult, SelfRef,
-    Seq, Tl, UnivCall, Var, While, command_vars, decode, encode, expr_vars,
-    _Emitter, _SHAPES, is_tiny, rename_command, run,
+    Assign, Cons, DecodeError, Eq, Hd, If, IsAtom, Program, Quote, RunResult,
+    SelfRef, Seq, Tl, UnivCall, Var, While, command_vars, decode, encode,
+    expr_vars, _Emitter, _SHAPES, is_tiny, rename_command, run,
+)
+from srtlab.selfint import (
+    futamura, interpreter_wrapped, measure_overhead, wrap_nullary,
 )
 from srtlab.sexpr import NIL, equal, parse, sexpr_print, to_unary
-from srtlab.specializer import eliminate_dead_code
-from srtlab.srt import kleene_fixpoint, moss_fixpoint
+from srtlab.specializer import eliminate_dead_code, specialize
+from srtlab.srt import (
+    compose, kleene_fixpoint, kleene_intermediate, moss_fixpoint, moss_qhat,
+)
 from srtlab.trm import trm_parse, trm_run
 
 from proggen import random_inputs, random_tiny_program
@@ -378,6 +383,53 @@ def test_entry_points_reject_values_of_the_wrong_type(call, message):
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run(5, []),
+    lambda: run("x", []),
+    lambda: is_tiny(5),
+    lambda: specialize(5, NIL),
+    lambda: eliminate_dead_code(5),
+    lambda: kleene_intermediate(5),
+    lambda: kleene_fixpoint(5),
+    lambda: moss_qhat(5),
+    lambda: moss_fixpoint(5),
+    lambda: compose(5, 5),
+    lambda: compose(dec("((d) (:= out d) out)"), 5),
+    lambda: measure_overhead(5, [NIL]),
+    lambda: wrap_nullary(5),
+    lambda: interpreter_wrapped(5),
+    lambda: futamura("target", 5),
+], ids=["run", "run-str", "is_tiny", "specialize", "eliminate_dead_code",
+        "kleene_intermediate", "kleene_fixpoint", "moss_qhat", "moss_fixpoint",
+        "compose", "compose-q", "measure_overhead", "wrap_nullary",
+        "interpreter_wrapped", "futamura"])
+def test_a_non_program_is_rejected_with_type_error(call):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) in ("expected a Program, not int",
+                               "expected a Program, not str")
+
+
+@pytest.mark.parametrize("program, message", [
+    (Program(["x"], Assign(5, Var("x")), "out"),
+     "cannot compile Assign(var=5, expr=Var): a name must be a str, not int"),
+    (Program(["x"], Assign("out", Var(None)), "out"),
+     "cannot compile Var(name=None): a name must be a str, not NoneType"),
+    (Program(["x"], Assign("out", Var("x")), 7),
+     "cannot compile <program (x) -> 7>: a name must be a str, not int"),
+    (Program([3], Assign("out", Var("x")), "out"),
+     "cannot compile <program (3) -> out>: a name must be a str, not int"),
+], ids=["assigned", "read", "output", "input"])
+@pytest.mark.parametrize("mode", ["plain", "reflective"])
+def test_run_rejects_a_name_that_is_not_a_str(program, message, mode):
+    # as encode does, before any step runs
+    with pytest.raises(TypeError) as info:
+        run(program, [NIL], 100, mode)
+    assert str(info.value) == message
+    with pytest.raises(TypeError):
+        encode(program)
 
 
 @pytest.mark.parametrize("walk, sweeps", [

@@ -584,6 +584,80 @@ def test_summed_up_loops_after_each_change_to_a_count(index):
 
 
 # ---------------------------------------------------------------------------
+# chains: from a program's second run on, each straight-line chain of
+# summed-up blocks is applied as one transformer of the registers
+
+def both_paths_agree(raw, inputs, fuel, variant, boundary):
+    """Run a fresh program twice, first on the block path and then on
+    chains, and compare each run with ``ref_run``."""
+    program = trm_parse(raw)
+    want = ref_run(raw, inputs, fuel, variant, boundary)
+    for path in ("blocks", "chains"):
+        r = trm_run(program, inputs, fuel, variant=variant, boundary=boundary)
+        got = (r.status, r.steps, r.setup_steps, r.registers)
+        assert got == want, (path, raw, inputs, fuel, variant, boundary)
+        if path == "blocks":
+            assert program._chains == {}
+    return program
+
+
+#: Programs whose blocks chain: the write program twice (write_code of
+#: write_code, so two images compose), the specialiser, the
+#: diagonaliser, images into two registers of which one is emitted
+#: again, an erase between two write runs, and a chain cut short by a
+#: stepped case.
+CHAINED = [
+    (trm_write_program().raw * 2, ["1#1"]),
+    (trm_s11_program().raw, ["1#", "#1"]),
+    (trm_diag_program().raw, ["1##"]),
+    (LOOPS[7] + trm_move(2, 1).raw + LOOPS[1] + trm_move(3, 4).raw, ["#1"]),
+    (write_code("1#1") + trm_erase(1).raw + write_code("#") + LOOPS[0]
+     + trm_move(2, 1).raw, ["1#", "#"]),
+    (LOOPS[0] + probe(2, 3) + trm_move(2, 1).raw + LOOPS[3], ["1##1"]),
+]
+
+
+@pytest.mark.parametrize("index", range(len(CHAINED)))
+def test_chains_agree_with_the_reference_at_every_fuel(index):
+    raw, inputs = CHAINED[index]
+    blocks = sorted(trm_parse(raw)._summaries()[0])
+    # boundaries that cut the chain between two blocks and inside one
+    boundaries = (None, blocks[1], blocks[-1] + 1)
+    for variant in VARIANTS:
+        steps = trm_run(trm_parse(raw), inputs, FUEL, variant=variant).steps
+        for boundary in boundaries:
+            for fuel in [*range(1, steps + 2), FUEL]:
+                program = both_paths_agree(raw, inputs, fuel, variant,
+                                           boundary)
+            assert any(program._chains.values())    # a chain was composed
+
+
+@pytest.mark.parametrize("name,base", BASES)
+@pytest.mark.parametrize("fix", [trm_moss_fixpoint, trm_kleene_fixpoint])
+def test_chains_agree_with_the_reference_on_fixpoints(name, base, fix):
+    raw = fix(base).raw
+    boundary = setup_boundary(trm_parse(raw), base)
+    rng = random.Random(f"chains-{name}-{fix.__name__}")
+    data = [rand_string(rng, 12)]
+    for variant in VARIANTS:
+        full = trm_run(trm_parse(raw), data, FUEL, variant=variant,
+                       boundary=boundary)
+        setup, steps = full.setup_steps, full.steps
+        # the set-up chain does not fit, just fits, and fits with a step
+        # to spare; so does the whole run
+        fuels = {1, setup - 1, setup, setup + 1, steps - 1, steps, steps + 1,
+                 rng.randint(1, steps), FUEL}
+        for fuel in sorted(fuels):
+            for b in (None, boundary):
+                program = both_paths_agree(raw, data, fuel, variant, b)
+        chains = dict(program._chains)
+        assert chains[1, boundary] is not None
+        trm_run(program, data, FUEL, variant=variant, boundary=boundary)
+        assert all(program._chains[key] is chain
+                   for key, chain in chains.items())   # composed once
+
+
+# ---------------------------------------------------------------------------
 # property: the runner against the reference on generated programs
 
 wild_instructions = st.builds(lambda n, k: "1" * n + "#" * k,
