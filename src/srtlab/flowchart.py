@@ -35,6 +35,14 @@ with commands/exprs in prefix form: ``(:= x e)``, ``(; c1 c2)``,
 ``(while e c)``, ``(if e c1 c2)``, ``(QUOTE d)``, ``(hd e)``, ``(tl e)``,
 ``(cons e1 e2)``, ``(= e1 e2)``, ``(atom? e)``, ``*``, ``(univ e1 e2)``.
 
+ASTs are closed at construction, as s-expression values are: a node
+raises ``TypeError`` unless each field holds a value of its kind (a
+command, an expression, a ``str`` name, or an ``Atom`` or ``Pair``
+datum), and ``Program`` unless its names are ``str`` and its body a
+command.  ``decode`` builds only well-formed trees.  So no walk checks
+a tree again; a walk given a bare node checks only that node's kind.
+A field assigned after construction is not checked, as with ``Pair``.
+
 Cost model: 1 step per executed assignment, per operator application,
 per variable/constant/self access, and per while/if test event; the
 final read of the output variable is a variable access.  Operands are
@@ -72,6 +80,13 @@ class Program:
 
     def __init__(self, inputs, body, output):
         inputs = tuple(inputs)
+        # tested in line, so that a univ call's decode takes no frame more
+        for name in inputs:
+            if type(name) is not str:
+                _check_kind(name, _NAME, "each of Program.inputs")
+        if type(body) not in _HOLDS[_CMD][0] or type(output) is not str:
+            _check_kind(body, _CMD, "Program.body")
+            _check_kind(output, _NAME, "Program.output")
         if len(set(inputs)) != len(inputs):
             raise ValueError("input variables must be pairwise distinct")
         self.inputs = inputs
@@ -95,17 +110,23 @@ def _checked(program):
 class _Node:
     """An AST node.  Each kind's ``__slots__`` is its only field list:
     ``Kind(value, ...)`` takes one value per field, in slot order, and
-    ``_enc`` caches the node's encoding."""
+    ``_enc`` caches the node's encoding.  Each value must be of its
+    field's kind in ``_SYNTAX``, else ``TypeError``; so a node vouches
+    for the tree under it, and no walk checks it again.  A field set
+    after construction is not checked."""
 
     __slots__ = ("_enc",)
 
     def __init__(self, *values):
-        fields = type(self).__slots__
+        cls = type(self)
+        fields = _ROWS[cls][3]
         if len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes {len(fields)} "
+            raise TypeError(f"{cls.__name__} takes {len(fields)} "
                             f"fields, got {len(values)}")
         self._enc = None
-        for field, value in zip(fields, values):
+        for (field, kind), value in zip(fields, values):
+            if type(value) not in _HOLDS[kind][0]:  # name it only to raise
+                _check_kind(value, kind, f"{cls.__name__}.{field}")
             setattr(self, field, value)
 
     def __repr__(self):
@@ -175,9 +196,10 @@ _CMD, _EXPR, _NAME, _DATUM = "command", "expression", "name", "datum"
 
 #: One row per node kind: class, tag, name in DecodeError messages and
 #: the kind of each field in ``__slots__`` order (command, expression,
-#: assigned variable name or datum).  It decides each kind's encoding,
-#: ``(tag field ...)`` or one atom for Var and SelfRef, and which fields
-#: the walkers below visit and rename.
+#: variable name or datum).  It decides what each field takes at
+#: construction, each kind's encoding, ``(tag field ...)`` or one atom
+#: for Var and SelfRef, and which fields the walkers below visit and
+#: rename.
 _SYNTAX = {
     _CMD: (
         (Assign, ":=", "assignment", (_NAME, _EXPR)),
@@ -200,20 +222,31 @@ _SYNTAX = {
 #: Each kind's row with its fields as (name, kind) pairs.
 _ROWS = {cls: (cls, tag, what, tuple(zip(cls.__slots__, kinds, strict=True)))
          for rows in _SYNTAX.values() for cls, tag, what, kinds in rows}
-#: The placement table: the kinds allowed in each category, each mapped
-#: to its children as (field, kinds allowed there), last child first.
-#: Every walk of an AST reads it, so each rejects what ``run`` rejects.
-_KINDS = {_CMD: {}, _EXPR: {}}
-for _category, _rows in _SYNTAX.items():
-    _KINDS[_category].update((cls, tuple((f, _KINDS[k]) for f, k in reversed(
-        _ROWS[cls][3]) if k in _KINDS)) for cls, *_ in _rows)
+#: Each kind's child nodes, by field, last child first: all a walk visits.
+_CHILDREN = {cls: tuple(f for f, k in reversed(fields) if k is _CMD or k is _EXPR)
+             for cls, _, _, fields in _ROWS.values()}
 #: The value types a Quote may hold, each with its part of a shape key.
 _DATA = {Atom: "atom", Pair: "pair"}
+#: The types each kind of field holds, and how a ``TypeError`` says so.
+_HOLDS = {_CMD: ({cls for cls, *_ in _SYNTAX[_CMD]}, "a command"),
+          _EXPR: ({cls for cls, *_ in _SYNTAX[_EXPR]}, "an expression"),
+          _NAME: ({str}, "a str"),
+          _DATUM: (_DATA, "an Atom or a Pair")}
 #: Compound kinds by category and tag; fields numbered, last one first.
 _TAGGED = {category: {tag: (cls, what, len(kinds) + 1, tuple(reversed(
                           [(i, f, k) for i, (f, k) in enumerate(_ROWS[cls][3], 1)])))
                       for cls, tag, what, kinds in rows if cls not in (Var, SelfRef)}
            for category, rows in _SYNTAX.items()}
+
+
+def _check_kind(value, kind, what):
+    """``TypeError``, naming ``value`` as ``what``, unless it is of
+    ``kind``: a command, an expression, a name or a datum.  The node
+    classes and ``Program`` check each field with it, so the walks below
+    check only their root, if that."""
+    types, shown = _HOLDS[kind]
+    if type(value) not in types:
+        raise TypeError(f"{what} must be {shown}, not {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,43 +357,37 @@ def encode(node):
     Encodings are cached per node, so a subtree shared between two
     programs is encoded as one shared value; specialisation and the
     fixpoint constructions rely on this to keep the printed program a
-    DAG rather than a tree.
-
-    A program's body is a command; a lone node may be a command or an
-    expression.  Like every walk, ``encode`` rejects what ``run``
-    rejects: a value where no node of its kind belongs raises
-    ``TypeError("cannot compile ...")``, naming the node ``run`` names.
+    DAG rather than a tree.  Anything but a program or a node raises
+    ``TypeError``.
     """
     if type(node) is Program:
         if node._enc is None:
             node._enc = from_list([from_list([Atom(v) for v in node.inputs]),
-                                   _encode(node.body, _KINDS[_CMD]),
+                                   _encode(node.body),
                                    Atom(node.output)])
         return node._enc
-    return _encode(node, _KINDS[_EXPR if type(node) in _KINDS[_EXPR] else _CMD])
+    if type(node) not in _ROWS:
+        raise TypeError("encode's argument must be a Program or a node, "
+                        f"not {type(node).__name__}")
+    return _encode(node)
 
 
-def _encode(root, kinds):
-    """``encode`` of ``root``, checked as one of ``kinds``; children first."""
-    todo = [(root, kinds, False)]  # (node, kinds, children encoded?)
+def _encode(root):
+    """``encode`` of the node ``root``; children first."""
+    todo = [(root, False)]  # (node, children encoded?)
     while todo:
-        top, kinds, ready = todo.pop()
-        cls = type(top)
-        children = kinds.get(cls)
-        if children is None:
-            raise TypeError(f"cannot compile {top!r}")
-        if cls is Quote and type(top.value) not in _DATA:
-            raise TypeError(f"cannot compile {top.value!r}")
+        top, ready = todo.pop()
         if top._enc is not None:  # a node queued twice is encoded once
             continue
+        cls = type(top)
         if cls is Var:
             top._enc = Atom(top.name)
         elif cls is SelfRef:
             top._enc = Atom("*")
         elif not ready:
-            todo.append((top, kinds, True))
-            for field, sub in children:
-                todo.append((getattr(top, field), sub, False))
+            todo.append((top, True))
+            for field in _CHILDREN[cls]:
+                todo.append((getattr(top, field), False))
         else:
             enc = NIL
             for field, kind in reversed(_ROWS[cls][3]):
@@ -374,41 +401,33 @@ def _encode(root, kinds):
 # ---------------------------------------------------------------------------
 # AST utilities
 
-def _nodes(root, kinds):
-    """Every AST node under ``root``, itself included, in prefix order,
-    each with its children as ``_KINDS`` gives them; ``kinds`` are the
-    kinds allowed at ``root``.  A node's children are read after it is
-    yielded, so the caller may replace them.  Like every walk, it
-    rejects what ``run`` rejects: a value where no node of its kind
-    belongs, or a quoted value that is not an s-expression, raises
-    ``TypeError("cannot compile ...")`` at the node that ``run`` names."""
-    todo = [(root, kinds)]
+def _nodes(root):
+    """Every AST node under ``root``, itself included, in prefix order.
+    A node's children are read after it is yielded, so the caller may
+    replace them."""
+    todo = [root]
     while todo:
-        node, kinds = todo.pop()
-        cls = type(node)
-        children = kinds.get(cls)
-        if children is None:
-            raise TypeError(f"cannot compile {node!r}")
-        if cls is Quote and type(node.value) not in _DATA:
-            raise TypeError(f"cannot compile {node.value!r}")
-        yield node, children
-        for field, sub in children:
-            todo.append((getattr(node, field), sub))
+        node = todo.pop()
+        yield node
+        for field in _CHILDREN[type(node)]:
+            todo.append(getattr(node, field))
 
 
 def expr_vars(node, acc=None):
     """Set of variable names read by an expression, added to ``acc`` if
-    given.  A misplaced node raises ``TypeError`` as in ``_nodes``."""
+    given.  ``TypeError`` if ``node`` is not an expression."""
+    _check_kind(node, _EXPR, "expr_vars's argument")
     if acc is None:
         acc = set()
-    acc.update(n.name for n, _ in _nodes(node, _KINDS[_EXPR]) if type(n) is Var)
+    acc.update(n.name for n in _nodes(node) if type(n) is Var)
     return acc
 
 
 def command_vars(cmd):
-    """All variable names occurring in a command (read or assigned); a
-    misplaced node raises ``TypeError`` as in ``_nodes``."""
-    return {getattr(node, field) for node, _ in _nodes(cmd, _KINDS[_CMD])
+    """All variable names occurring in a command (read or assigned).
+    ``TypeError`` if ``cmd`` is not a command."""
+    _check_kind(cmd, _CMD, "command_vars's argument")
+    return {getattr(node, field) for node in _nodes(cmd)
             for field, kind in _ROWS[type(node)][3] if kind is _NAME}
 
 
@@ -416,21 +435,26 @@ def rename_command(cmd, mapping):
     """Alpha-rename variables (quoted constants are untouched data).
 
     Every node is rebuilt except Quote and SelfRef nodes, which hold no
-    variable and are shared with ``cmd``.  A misplaced node, the root
-    included, raises ``TypeError`` as in ``_nodes``, before it is copied.
+    variable and are shared with ``cmd``.  ``TypeError`` if ``cmd`` is
+    not a command, or ``mapping`` not a dict whose values are ``str``.
     """
-    root = _renamed(cmd, _KINDS[_CMD], mapping)
-    for node, children in _nodes(root, _KINDS[_CMD]):
-        for field, kinds in children:
-            setattr(node, field, _renamed(getattr(node, field), kinds, mapping))
+    _check_kind(cmd, _CMD, "rename_command's argument")
+    if type(mapping) is not dict:
+        raise TypeError(f"a renaming must be a dict, not {type(mapping).__name__}")
+    for name in mapping.values():
+        _check_kind(name, _NAME, "a renamed variable")
+    root = _renamed(cmd, mapping)
+    for node in _nodes(root):
+        for field in _CHILDREN[type(node)]:
+            setattr(node, field, _renamed(getattr(node, field), mapping))
     return root
 
 
-def _renamed(node, kinds, mapping):
+def _renamed(node, mapping):
     """Copy of ``node`` with its names renamed and the same children."""
     cls = type(node)
-    if cls is Quote or cls is SelfRef or cls not in kinds:
-        return node  # a misplaced value is left to _nodes to reject
+    if cls is Quote or cls is SelfRef:
+        return node
     copy = object.__new__(cls)
     copy._enc = None
     for field, kind in _ROWS[cls][3]:
@@ -440,11 +464,8 @@ def _renamed(node, kinds, mapping):
 
 
 def is_tiny(program):
-    """True iff the body is straight-line: assignment and sequencing only.
-    Every node is visited, so a misplaced one raises ``TypeError`` as in
-    ``_nodes``."""
-    kinds = {type(node) for node, _ in _nodes(_checked(program).body,
-                                              _KINDS[_CMD])}
+    """True iff the body is straight-line: assignment and sequencing only."""
+    kinds = {type(node) for node in _nodes(_checked(program).body)}
     return kinds.isdisjoint((While, If, SelfRef, UnivCall))
 
 
@@ -769,62 +790,38 @@ def _shape(program, reflective):
     ``names`` maps each variable to its index, ``quotes`` each Quote
     node's id to the index of its constant in ``consts``, and
     ``uses_self`` is true if the program reads ``*`` in reflective mode.
-    A value where no node of its kind belongs, by ``_KINDS``, a quoted
-    value that is not an s-expression, or a variable name that is not
-    a ``str`` raises ``TypeError``; so do the operands of a univ call in
-    plain mode, though it fails before running them.
     """
     names = {}
     for name in program.inputs:
-        if type(name) is not str:
-            raise _misnamed(program, name)
         names[name] = len(names)
     quotes, consts = {}, []
     key = [reflective, len(names)]
     uses_self = False
-    todo = [(program.body, _KINDS[_CMD])]
+    todo = [program.body]
     while todo:
-        node, kinds = todo.pop()
+        node = todo.pop()
         cls = type(node)
-        children = kinds.get(cls)
-        if children is None:
-            raise TypeError(f"cannot compile {node!r}")
         key.append(cls)
         if cls is Var or cls is Assign:
             name = node.name if cls is Var else node.var
             i = names.get(name)
             if i is None:
-                if type(name) is not str:
-                    raise _misnamed(node, name)
                 i = names[name] = len(names)
             key.append(i)
         elif cls is Quote:
             i = quotes.get(id(node))
             if i is None:
-                value = node.value
-                kind = _DATA.get(type(value))
-                if kind is None:
-                    raise TypeError(f"cannot compile {value!r}")
                 quotes[id(node)] = len(consts)
-                consts.append(value)
-                key.append(kind)
+                consts.append(node.value)
+                key.append(_DATA[type(node.value)])
             else:
                 key.append(i)
         elif cls is SelfRef:
             uses_self = reflective
-        for field, sub in children:
-            todo.append((getattr(node, field), sub))
-    if type(program.output) is not str:
-        raise _misnamed(program, program.output)
+        for field in _CHILDREN[cls]:
+            todo.append(getattr(node, field))
     key.append(names.setdefault(program.output, len(names)))
     return tuple(key), names, quotes, consts, uses_self
-
-
-def _misnamed(node, name):
-    """The ``TypeError`` for ``name``, a name field of ``node`` that is
-    not a ``str``."""
-    return TypeError(f"cannot compile {node!r}: a name must be a str, "
-                     f"not {type(name).__name__}")
 
 
 #: The ``make`` function of each compiled shape, least recently used
@@ -929,18 +926,15 @@ def run(program, args, fuel=10**7, mode="plain"):
     or decoded program of a known shape costs one walk of its AST, not
     an emission of source and a ``compile()``.
 
-    A directly built AST with a command where an expression belongs, an
-    expression where a command belongs, or a quoted value that is not an
-    ``Atom`` or a ``Pair`` raises ``TypeError("cannot compile ...")``
-    before any step runs, in either mode and under a univ call too; no
-    decoded program has one.
-    Every walk of the AST (``encode``, ``is_tiny``, ``command_vars``,
-    ``expr_vars``, ``rename_command``) reads the same placement table,
-    ``_KINDS``, and rejects what ``run`` rejects, naming the same node.
-
-    ``program`` must be a ``Program`` whose variable names are each a
-    ``str``, ``fuel`` an ``int`` and each argument an ``Atom`` or a
-    ``Pair``; anything else raises ``TypeError`` before any step runs.
+    ``program`` must be a ``Program``, ``fuel`` an ``int`` and each
+    argument an ``Atom`` or a ``Pair``; anything else raises
+    ``TypeError`` before any step runs.  A program is well formed by
+    construction: its node classes and ``Program`` raise ``TypeError``
+    for a command where an expression belongs, an expression where a
+    command belongs, a name that is not a ``str`` or a quoted value that
+    is not an ``Atom`` or a ``Pair``, and ``decode`` builds no such tree.
+    So ``run`` checks none of this again, nor does any other walk; a
+    field set after construction is not checked at all.
 
     Memory grows with univ nesting: each pending univ call holds one
     generator frame of about 360 bytes plus 8 per variable of the

@@ -11,7 +11,7 @@ import functools
 from .build import QA, V, asg, hd, lst, prog, seq, tl
 from .flowchart import (
     RESERVED_PREFIX, Assign, If, Program, Quote, SelfRef, Seq, UnivCall, Var,
-    While, _EXPR, _KINDS, _checked, _nodes, _walk, expr_vars,
+    While, _checked, _nodes, _walk, expr_vars,
 )
 from .sexpr import NIL
 
@@ -23,7 +23,8 @@ def specialize(program, value):
 
     The result reads one argument fewer and starts by assigning the
     quoted value to the removed input variable.  Both the value and the
-    original body are referenced, not copied.
+    original body are referenced, not copied.  ``TypeError`` unless
+    ``value`` is an ``Atom`` or a ``Pair``, as for any ``Quote``.
     """
     if not _checked(program).inputs:
         raise ValueError("cannot specialize a program with no inputs")
@@ -67,7 +68,8 @@ def eliminate_dead_code(program):
     treated as live throughout the construct, and the constructs
     themselves are always kept.  So is an assignment that calls univ or
     reads ``*``, even when dead: either can fault, and univ can also
-    run forever.
+    run forever.  The program was checked when it was built, so the
+    walks check nothing but that it is a ``Program``.
     """
     reads = {}
     _walk(_reads(_checked(program).body, None, reads))
@@ -95,21 +97,18 @@ def _reads(cmd, acc, reads):
     if t is Assign:
         if acc is not None:
             expr_vars(cmd.expr, acc)
-    elif t is While or t is If:
+    else:  # While or If
         inner = reads[id(cmd)] = expr_vars(cmd.test)
         for arm in (cmd.body,) if t is While else (cmd.then, cmd.orelse):
             yield _reads(arm, inner, reads)
         if acc is not None:
             acc |= inner
-    else:
-        raise TypeError(f"cannot sweep {cmd!r}")
 
 
 def _sweep(cmd, live, reads):
     """The kept part of ``cmd`` (None if nothing), given the variables
     ``live`` after it; leaves in ``live`` the variables live before it.
     Every variable read inside a while or if is live throughout it.
-    ``_reads`` has run on ``cmd``, so it holds nothing but commands.
     A ``;`` chain's right-nested spine is collected in a list and swept
     back from its end, with a fresh ``;`` wherever both parts are kept."""
     t = type(cmd)
@@ -149,8 +148,7 @@ def _kept(cmd, live):
 
 
 def _may_fault(expr):
-    return any(type(n) is UnivCall or type(n) is SelfRef
-               for n, _ in _nodes(expr, _KINDS[_EXPR]))
+    return any(type(n) is UnivCall or type(n) is SelfRef for n in _nodes(expr))
 
 
 def _noop():

@@ -26,19 +26,43 @@ from reference import _agree, dec
 FUEL = 10**6
 
 
-@pytest.mark.parametrize("cls", [
-    Assign, Seq, While, If, Var, SelfRef, Quote, Hd, Tl, Cons, Eq, IsAtom,
-    UnivCall,
-])
+#: The kind of each field of each node class, in field order.
+FIELD_KINDS = {
+    Assign: ("name", "expression"), Seq: ("command", "command"),
+    While: ("expression", "command"), If: ("expression", "command", "command"),
+    Var: ("name",), SelfRef: (), Quote: ("datum",), Hd: ("expression",),
+    Tl: ("expression",), Cons: ("expression", "expression"),
+    Eq: ("expression", "expression"), IsAtom: ("expression",),
+    UnivCall: ("expression", "expression"),
+}
+#: A fresh value of each field kind, and how a TypeError names the kind.
+OF_KIND = {"command": (lambda: asg("y", V("d")), "a command"),
+           "expression": (lambda: V("d"), "an expression"),
+           "name": (lambda: "x", "a str"),
+           "datum": (lambda: parse("(a b)"), "an Atom or a Pair")}
+
+
+@pytest.mark.parametrize("cls", list(FIELD_KINDS))
 def test_node_classes_take_their_fields_positionally(cls):
-    fields = cls.__slots__
-    node = cls(*range(len(fields)))
-    assert [getattr(node, f) for f in fields] == list(range(len(fields)))
+    fields, kinds = cls.__slots__, FIELD_KINDS[cls]
+    values = [OF_KIND[kind][0]() for kind in kinds]
+    node = cls(*values)
+    assert all(getattr(node, f) is v for f, v in zip(fields, values, strict=True))
     assert node._enc is None
     for wrong in (len(fields) - 1, len(fields) + 1):
         if wrong >= 0:
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError) as info:
                 cls(*range(wrong))
+            assert str(info.value) == \
+                f"{cls.__name__} takes {len(fields)} fields, got {wrong}"
+    # each field rejects a value of every other kind, and a non-node
+    for i, (field, kind) in enumerate(zip(fields, kinds)):
+        others = [make() for other, (make, _) in OF_KIND.items() if other != kind]
+        for bad in [*others, 5, None, b"x"]:
+            with pytest.raises(TypeError) as info:
+                cls(*values[:i], bad, *values[i + 1:])
+            assert str(info.value) == (f"{cls.__name__}.{field} must be "
+                                       f"{OF_KIND[kind][1]}, not {type(bad).__name__}")
 
 
 def test_a_node_shows_its_kind_and_fields_and_its_children_by_kind():
@@ -46,7 +70,9 @@ def test_a_node_shows_its_kind_and_fields_and_its_children_by_kind():
     assert repr(V("d")) == "Var(name='d')"
     assert repr(Quote(parse("(a b)"))) == "Quote(value=<sexpr (a b)>)"
     assert repr(SelfRef()) == "SelfRef()"
-    assert repr(_deep(V("d"))) == "While(test=Var, body=While)"
+    assert repr(_deep(asg("x", V("d")))) == "While(test=Var, body=While)"
+    with pytest.raises(TypeError, match="^While.body must be a command, not Var$"):
+        _deep(V("d"))
 
 
 def test_decode_projection():
@@ -329,27 +355,53 @@ def _deep(body):
     return body
 
 
-#: Bodies with a value where no node of its kind belongs, each as (id,
-#: body, whether it is an expression where a command belongs).
+@pytest.fixture
+def scratch_shapes(monkeypatch):
+    """An empty shape cache for one test.  A shape run a few times runs
+    on warmed code that takes one frame less of the stack, so a test that
+    warmed the shapes of the stack tests below would shift their margins."""
+    monkeypatch.setattr(flowchart, "_SHAPES", {})
+    return flowchart._SHAPES
+
+
+#: Programs with one value in question, each as (id, the program around
+#: a value, a value where no node of its kind belongs, a value that
+#: belongs there, and the TypeError that the first raises).
 MISPLACED = [
-    ("command-as-operand", lambda: Assign("x", Assign("y", V("d"))), False),
-    ("command-under-hd",
-     lambda: asg("x", Hd(seq(asg("y", V("d")), asg("z", V("d"))))), False),
-    ("expression-as-body", lambda: V("d"), True),
-    ("deep-expression-as-body", lambda: _deep(V("d")), True),
-    ("deep-non-node", lambda: _deep(Assign("x", "junk")), False),
+    ("command-as-operand", lambda v: prog(("d",), Assign("x", v), "x"),
+     lambda: Assign("y", V("d")), lambda: V("d"),
+     "Assign.expr must be an expression, not Assign"),
+    ("command-under-hd", lambda v: prog(("d",), asg("x", Hd(v)), "x"),
+     lambda: seq(asg("y", V("d")), asg("z", V("d"))), lambda: V("d"),
+     "Hd.arg must be an expression, not Seq"),
+    ("expression-as-body", lambda v: prog(("d",), v, "x"),
+     lambda: V("d"), lambda: asg("x", V("d")),
+     "Program.body must be a command, not Var"),
+    ("deep-expression-as-body", lambda v: prog(("d",), _deep(v), "x"),
+     lambda: V("d"), lambda: asg("x", V("d")),
+     "While.body must be a command, not Var"),
+    ("deep-non-node", lambda v: prog(("d",), _deep(Assign("x", v)), "x"),
+     lambda: "junk", lambda: V("d"),
+     "Assign.expr must be an expression, not str"),
     ("command-as-univ-operand",
-     lambda: asg("x", univ(Assign("y", V("d")), 5)), False),
+     lambda v: prog(("d",), asg("x", univ(v, V("d"))), "x"),
+     lambda: Assign("y", V("d")), lambda: V("d"),
+     "UnivCall.prog must be an expression, not Assign"),
 ]
 
 
-@pytest.mark.parametrize("body", [body for _, body, _ in MISPLACED],
-                         ids=[name for name, _, _ in MISPLACED])
+@pytest.mark.parametrize("case", MISPLACED, ids=[case[0] for case in MISPLACED])
 @pytest.mark.parametrize("mode", ["plain", "reflective"])
-def test_misplaced_node_is_rejected_before_running(body, mode):
-    p = prog(("d",), body(), "x")
-    with pytest.raises(TypeError, match="^cannot compile "):
-        run(p, [parse("a")], 100, mode)
+def test_misplaced_node_is_rejected_before_running(case, mode, scratch_shapes):
+    # the value in its place runs; the misplaced one fails to build, so
+    # no such program reaches run, and nothing is compiled for it
+    _, build, misplaced, placed, message = case
+    assert type(run(build(placed()), [parse("a")], 100, mode)) is RunResult
+    before = list(scratch_shapes)
+    with pytest.raises(TypeError) as info:
+        build(misplaced())
+    assert str(info.value) == message
+    assert list(scratch_shapes) == before
 
 
 @pytest.mark.parametrize("call, message", [
@@ -412,57 +464,70 @@ def test_a_non_program_is_rejected_with_type_error(call):
                                "expected a Program, not str")
 
 
-@pytest.mark.parametrize("program, message", [
-    (Program(["x"], Assign(5, Var("x")), "out"),
-     "cannot compile Assign(var=5, expr=Var): a name must be a str, not int"),
-    (Program(["x"], Assign("out", Var(None)), "out"),
-     "cannot compile Var(name=None): a name must be a str, not NoneType"),
-    (Program(["x"], Assign("out", Var("x")), 7),
-     "cannot compile <program (x) -> 7>: a name must be a str, not int"),
-    (Program([3], Assign("out", Var("x")), "out"),
-     "cannot compile <program (3) -> out>: a name must be a str, not int"),
+@pytest.mark.parametrize("build, good, bad, message", [
+    (lambda n: Program(["x"], Assign(n, Var("x")), "out"), "y", 5,
+     "Assign.var must be a str, not int"),
+    (lambda n: Program(["x"], Assign("out", Var(n)), "out"), "x", None,
+     "Var.name must be a str, not NoneType"),
+    (lambda n: Program(["x"], Assign("out", Var("x")), n), "out", 7,
+     "Program.output must be a str, not int"),
+    (lambda n: Program([n], Assign("out", Var("x")), "out"), "x", 3,
+     "each of Program.inputs must be a str, not int"),
 ], ids=["assigned", "read", "output", "input"])
 @pytest.mark.parametrize("mode", ["plain", "reflective"])
-def test_run_rejects_a_name_that_is_not_a_str(program, message, mode):
-    # as encode does, before any step runs
+def test_run_rejects_a_name_that_is_not_a_str(build, good, bad, message, mode,
+                                              scratch_shapes):
+    # a program with the name runs; with a non-str name it fails to build
+    assert run(build(good), [NIL], 100, mode).halted
     with pytest.raises(TypeError) as info:
-        run(program, [NIL], 100, mode)
+        build(bad)
     assert str(info.value) == message
-    with pytest.raises(TypeError):
-        encode(program)
 
 
-@pytest.mark.parametrize("walk, sweeps", [
-    (lambda body: is_tiny(prog(("d",), body, "x")), False),
-    (command_vars, False),
-    (lambda body: rename_command(body, {"d": "e"}), False),
-    (lambda body: eliminate_dead_code(prog(("d",), body, "x")), True),
-    (lambda body: encode(prog(("d",), body, "x")), False),
+@pytest.mark.parametrize("walk, message, takes_expression", [
+    (is_tiny, "expected a Program, not {}", False),
+    (command_vars, "command_vars's argument must be a command, not {}", False),
+    (lambda v: rename_command(v, {"d": "e"}),
+     "rename_command's argument must be a command, not {}", False),
+    (eliminate_dead_code, "expected a Program, not {}", False),
+    (encode, "encode's argument must be a Program or a node, not {}", True),
 ], ids=["is_tiny", "command_vars", "rename_command", "eliminate_dead_code",
         "encode"])
-def test_walkers_reject_a_value_that_is_no_node(walk, sweeps):
-    # every walk rejects what run rejects, naming the same node; dead-code
-    # elimination names an expression where a command belongs its own way
-    cases = [("non-node", lambda: seq(asg("y", V("d")), Assign("x", "junk")),
-              False),
-             ("quoted-non-sexpr", lambda: asg("x", hd(Quote(5))), False),
-             *MISPLACED]
-    for name, build, expression_as_command in cases:
-        body = build()
-        messages = set()
-        for mode in ("plain", "reflective"):
-            with pytest.raises(TypeError, match="^cannot compile ") as info:
-                run(prog(("d",), body, "x"), [parse("a")], 100, mode)
-            messages.add(str(info.value))
-        (message,) = messages
-        assert "object at 0x" not in message, name
-        if sweeps and expression_as_command:
-            message = message.replace("cannot compile ", "cannot sweep ", 1)
+def test_walkers_reject_a_value_that_is_no_node(walk, message, takes_expression):
+    # a walk checks only its root: no malformed tree can be built, so the
+    # walk never meets one under a node or a program
+    cases = [("non-node", lambda v: seq(asg("y", V("d")), Assign("x", v)),
+              lambda: "junk", "Assign.expr must be an expression, not str"),
+             ("quoted-non-sexpr", lambda v: asg("x", hd(Quote(v))), lambda: 5,
+              "Quote.value must be an Atom or a Pair, not int"),
+             *[(name, build, bad, why) for name, build, bad, _, why in MISPLACED]]
+    for name, build, bad, why in cases:
         with pytest.raises(TypeError) as info:
-            walk(body)
-        assert str(info.value) == message, name
-    with pytest.raises(TypeError, match="^cannot compile 'junk'"):
-        expr_vars(Hd("junk"))
+            build(bad())
+        assert str(info.value) == why, name
+    roots = ["junk", 5, None, NIL, *(() if takes_expression else (V("d"),))]
+    for root in roots:
+        with pytest.raises(TypeError) as info:
+            walk(root)
+        assert str(info.value) == message.format(type(root).__name__)
+    with pytest.raises(TypeError, match="^Hd.arg must be an expression, not str$"):
+        Hd("junk")
+    with pytest.raises(TypeError,
+                       match="^expr_vars's argument must be an expression, not Assign$"):
+        expr_vars(asg("x", V("d")))
+
+
+def test_rename_command_rejects_a_renaming_to_a_non_name():
+    # a renaming is outside input: a non-str name would build a tree that
+    # no constructor admits
+    for mapping, message in [({"x": 5}, "a renamed variable must be a str, not int"),
+                             ({"y": None}, "a renamed variable must be a str, not NoneType"),
+                             ([("x", "y")], "a renaming must be a dict, not list")]:
+        with pytest.raises(TypeError) as info:
+            rename_command(asg("x", V("d")), mapping)
+        assert str(info.value) == message
+    renamed = rename_command(asg("x", V("d")), {"x": "y"})
+    assert sexpr_print(encode(renamed)) == "(:= y d)"
 
 
 def test_run_handles_any_control_nesting():

@@ -94,7 +94,7 @@ CALLEES = [parse(text) for text in (
 # a program's variable names are slots, filled from three drawn names and
 # then *: decode rejects * as a variable and reads an atom * in an
 # expression as SelfRef, so a program using it is not its text's decoding
-slots = st.integers(0, 3)
+slots = st.integers(0, 3).map(str)
 run_expressions = st.recursive(
     slots.map(Var) | st.builds(SelfRef) | atoms.map(Quote)
     | st.sampled_from(CALLEES).map(Quote),
@@ -113,7 +113,7 @@ run_commands = st.recursive(
 
 def _filled(pool, arity, body, output, args):
     """The program with inputs ``pool[:arity]``, its slots filled."""
-    fill = dict(enumerate([*pool, "*"]))
+    fill = dict(zip("0123", [*pool, "*"]))
     return (Program(pool[:arity], rename_command(body, fill), fill[output]),
             args[:arity])
 

@@ -12,7 +12,7 @@ from srtlab import flowchart
 from srtlab.build import QA, V, asg, cons, eq, hd, iff, prog, seq, tl, univ, wh
 from srtlab.flowchart import (
     Assign, Program, Quote, SelfRef, _SHAPES, _SHAPES_MAX, _Emitter,
-    _instance, _shape, command_vars, encode, rename_command, run,
+    _instance, _shape, command_vars, rename_command, run,
 )
 from srtlab.sexpr import Atom, parse, to_unary
 
@@ -112,8 +112,8 @@ def _twin(program, rng):
     names = sorted({*program.inputs, program.output, *command_vars(program.body)})
     mapping = dict(zip(names, rng.sample([f"{n}'" for n in names], len(names))))
     body = rename_command(program.body, mapping)
-    for node, children in flowchart._nodes(body, flowchart._KINDS["command"]):
-        for field, _ in children:
+    for node in flowchart._nodes(body):
+        for field in flowchart._CHILDREN[type(node)]:
             child = getattr(node, field)
             if type(child) is Quote:
                 setattr(node, field, Quote(_same_kind(child.value, rng)))
@@ -161,34 +161,53 @@ def test_the_shape_cache_keeps_the_most_recently_used_shapes(monkeypatch):
     assert _shape(_tails(300), False)[0] in _SHAPES
 
 
-@pytest.mark.parametrize("body", [
-    lambda: asg("out", asg("y", V("x"))),
-    lambda: seq(asg("out", V("x")), V("x")),
-    lambda: asg("out", cons(V("x"), 5)),
-    lambda: wh(V("x"), asg("x", tl(V("x"))), "junk"),
-    lambda: iff(eq(hd(V("x")), QA("a")), asg("out", V("x")), None),
-    lambda: asg("out", hd(Quote(5))),
-], ids=["command-as-expression", "expression-as-command", "int-as-operand",
-        "str-as-command", "none-as-branch", "quoted-int"])
+#: Programs with one value in question, each as (id, the program around
+#: a value, a value where no node of its kind belongs, a value that
+#: belongs there, and the TypeError that the first raises).
+MALFORMED = [
+    ("command-as-expression", lambda v: asg("out", v),
+     lambda: asg("y", V("x")), lambda: V("x"),
+     "Assign.expr must be an expression, not Assign"),
+    ("expression-as-command", lambda v: seq(asg("out", V("x")), v),
+     lambda: V("x"), lambda: asg("y", V("x")),
+     "Seq.second must be a command, not Var"),
+    ("int-as-operand", lambda v: asg("out", cons(V("x"), v)),
+     lambda: 5, lambda: QA("a"), "Cons.right must be an expression, not int"),
+    ("str-as-command", lambda v: wh(V("x"), asg("x", tl(V("x"))), v),
+     lambda: "junk", lambda: asg("y", V("x")),
+     "Seq.second must be a command, not str"),
+    ("none-as-branch",
+     lambda v: iff(eq(hd(V("x")), QA("a")), asg("out", V("x")), v),
+     lambda: None, lambda: asg("out", QA("b")),
+     "If.orelse must be a command, not NoneType"),
+    ("quoted-int", lambda v: asg("out", hd(Quote(v))), lambda: 5,
+     lambda: parse("(a b)"), "Quote.value must be an Atom or a Pair, not int"),
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=[case[0] for case in MALFORMED])
 @pytest.mark.parametrize("mode", MODES)
-def test_a_malformed_program_fails_before_any_step_and_caches_nothing(body, mode):
+def test_a_malformed_program_fails_before_any_step_and_caches_nothing(case, mode):
+    # it fails to build, so it never reaches run; the well-formed program
+    # runs as the reference says
+    _, body, bad, good, message = case
     before = list(_SHAPES)
-    program = prog(("x",), body(), "out")
-    with pytest.raises(TypeError, match="^cannot compile "):
-        run(program, [parse("(a b)")], 100, mode)
+    with pytest.raises(TypeError) as info:
+        prog(("x",), body(bad()), "out")
+    assert str(info.value) == message
     assert list(_SHAPES) == before
-    with pytest.raises(TypeError, match="^cannot compile "):
-        _Emitter(program, mode == "reflective")
+    _agree(prog(("x",), body(good()), "out"), [parse("(a b)")], 100, mode)
 
 
 def test_a_univ_call_in_plain_mode_is_checked_but_not_run():
-    # plain mode fails before the operands, as the reference does, but
-    # they are checked like any other node, as every walk checks them
-    program = prog(("x",), asg("out", univ(Assign("y", V("x")), 5)), "out")
-    for walk in (lambda: run(program, [Atom("a")], 100), lambda: encode(program)):
-        with pytest.raises(TypeError) as info:
-            walk()
-        assert str(info.value) == "cannot compile Assign(var='y', expr=Var)"
+    # its operands are checked when it is built, as any node's are; plain
+    # mode fails before running them, as the reference does
+    with pytest.raises(TypeError) as info:
+        univ(Assign("y", V("x")), 5)
+    assert str(info.value) == "UnivCall.prog must be an expression, not Assign"
+    with pytest.raises(TypeError) as info:
+        univ(V("x"), 5)
+    assert str(info.value) == "UnivCall.arg must be an expression, not int"
     program = prog(("x",), asg("out", univ(V("x"), hd(V("x")))), "out")
     r = run(program, [Atom("a")], 100)
     assert (r.status, r.steps, r.detail) == (

@@ -192,15 +192,28 @@ def test_dce_liveness_pins(text, want):
     assert sexpr_print(encode(opt)) == (text if want is None else want)
 
 
-@pytest.mark.parametrize("body", [
-    lambda: V("d"),
-    lambda: seq(asg("x", V("d")), V("d")),
-    lambda: wh(V("d"), hd(V("d"))),
-    lambda: iff(V("d"), asg("x", V("d")), V("d")),
+@pytest.mark.parametrize("body, message", [
+    (lambda: V("d"), "Program.body must be a command, not Var"),
+    (lambda: seq(asg("x", V("d")), V("d")), "Seq.second must be a command, not Var"),
+    (lambda: wh(V("d"), hd(V("d"))), "While.body must be a command, not Hd"),
+    (lambda: iff(V("d"), asg("x", V("d")), V("d")), "If.orelse must be a command, not Var"),
 ], ids=["body", "in-sequence", "while-body", "if-arm"])
-def test_dce_rejects_an_expression_in_command_position(body):
-    with pytest.raises(TypeError, match="^cannot sweep "):
+def test_dce_rejects_an_expression_in_command_position(body, message):
+    # the program fails to build, so dead-code elimination never meets it
+    with pytest.raises(TypeError) as info:
         eliminate_dead_code(prog(("d",), body(), "x"))
+    assert str(info.value) == message
+
+
+def test_specialize_rejects_a_value_that_is_no_s_expression():
+    # the value is quoted, and a Quote holds only an Atom or a Pair, so
+    # the call fails, not a later run of the program it would return
+    p = prog(("q", "d"), asg("out", V("q")), "out")
+    for value in (5, None, "a"):
+        with pytest.raises(TypeError) as info:
+            specialize(p, value)
+        assert str(info.value) == \
+            f"Quote.value must be an Atom or a Pair, not {type(value).__name__}"
 
 
 def test_dce_memory_stays_flat_on_a_long_sequence():
