@@ -413,14 +413,11 @@ def _nodes(root):
             todo.append(getattr(node, field))
 
 
-def expr_vars(node, acc=None):
-    """Set of variable names read by an expression, added to ``acc`` if
-    given.  ``TypeError`` if ``node`` is not an expression."""
+def expr_vars(node):
+    """Set of variable names read by an expression.  ``TypeError`` if
+    ``node`` is not an expression."""
     _check_kind(node, _EXPR, "expr_vars's argument")
-    if acc is None:
-        acc = set()
-    acc.update(n.name for n in _nodes(node) if type(n) is Var)
-    return acc
+    return {n.name for n in _nodes(node) if type(n) is Var}
 
 
 def command_vars(cmd):

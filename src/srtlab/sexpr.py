@@ -276,13 +276,18 @@ def dag_size(s):
 
 
 def equal(a, b):
-    """Structural equality; identical nodes compare equal without descent."""
+    """Structural equality; identical nodes compare equal without descent.
+    ``TypeError`` if an argument is not a value, except where an atom
+    or identity already decides."""
     if a is b:
         return True
     if type(a) is Atom:
         return type(b) is Atom and a.name == b.name
     if type(b) is Atom:
         return False
+    if type(a) is not Pair or type(b) is not Pair:
+        _check_value(a, "equal's first argument")
+        _check_value(b, "equal's second argument")
     seen = set()
     stack = [(a, b)]
     while stack:
@@ -306,9 +311,10 @@ def equal(a, b):
     return True
 
 
-def from_list(items, tail=NIL):
-    """Build the right-nested pair chain for a python sequence."""
-    result = tail
+def from_list(items):
+    """Build the right-nested pair chain, ending in (), for a python
+    sequence of values."""
+    result = NIL
     for item in reversed(items):
         result = Pair(item, result)
     return result

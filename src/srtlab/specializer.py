@@ -91,12 +91,12 @@ def _reads(cmd, acc, reads):
         if type(first) is not Assign:
             yield _reads(first, acc, reads)
         elif acc is not None:
-            expr_vars(first.expr, acc)
+            acc |= expr_vars(first.expr)
         cmd = cmd.second
     t = type(cmd)
     if t is Assign:
         if acc is not None:
-            expr_vars(cmd.expr, acc)
+            acc |= expr_vars(cmd.expr)
     else:  # While or If
         inner = reads[id(cmd)] = expr_vars(cmd.test)
         for arm in (cmd.body,) if t is While else (cmd.then, cmd.orelse):
@@ -143,7 +143,7 @@ def _kept(cmd, live):
     if cmd.var not in live and not _may_fault(cmd.expr):
         return None
     live.discard(cmd.var)
-    expr_vars(cmd.expr, live)
+    live |= expr_vars(cmd.expr)
     return cmd
 
 

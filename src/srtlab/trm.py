@@ -34,6 +34,13 @@ the exact step count of running them one instruction at a time:
     up too);
   * a write run of two or more appends: one step each.
 
+Both are blocks of one form, applied by one rule (``_loop_block``): a
+block clears the register it reads, and appends to each register it
+names a constant text and then an image of what the read register held.
+A loop's constants are empty.  A write run reads R0, which no
+instruction names and so is always empty: it appends its constants
+alone, and its cost has no term per symbol.
+
 The table of these blocks is built once per program, keyed by start pc.
 A loop's summary depends only on its own instructions, so it is cached
 by them (up to 1024 shapes): every fixpoint repeats the same few toolkit
@@ -62,21 +69,22 @@ is neither re-tokenised nor re-tabled; a new base's texts are parsed
 whole, and a text that fails to parse raises as ``TrmProgram`` does.
 
 Each register is a deque of non-empty text chunks, with a count of its
-1s kept beside it: an input is counted once, as it is checked; a write
-run adds its text's count, a stepped append of 1 adds one, a stepped
-case that consumes a 1 takes one away, and a summed-up block's clear
-sets it to 0.  So a block's cost needs no pass over the text.  A
-summed-up loop reads its register with one join and appends each image
-as one chunk, together with a·o1 + b·h1 to the target's count, where o1
-and h1 are the 1-counts of the images of 1 and #.  ``_image`` builds an
-image from byte lanes: lane j is the j-th character of each symbol's
-image, a lane where both images agree is filled in with the rest, and
-each other lane is one ``bytes.translate`` of the text written through
-an extended slice; a move or copy appends the text itself.  A stepped
-append adds a one-symbol chunk.  A stepped case pops one chunk and, if
-it is longer than a symbol, pushes the rest back one symbol a chunk, so
-each symbol is split out at most once and no run goes quadratic.  No
-chunk is empty, so an empty deque is an empty register.
+1s kept beside it: an input is counted once, as it is checked; a
+stepped append of 1 adds one, a stepped case that consumes a 1 takes
+one away, and a summed-up block's clear sets it to 0.  So a block's
+cost needs no pass over the text.  A summed-up block reads its register
+with one join and appends to each target its constant and image as
+one chunk, together with c + a·o1 + b·h1 to the target's count, where c
+is the constant's count of 1s and o1 and h1 are the 1-counts of the
+images of 1 and #.  ``_image`` builds an image from byte lanes: lane j
+is the j-th character of each symbol's image, a lane where both images
+agree is filled in with the rest, and each other lane is one
+``bytes.translate`` of the text written through an extended slice; a
+move or copy appends the text itself.  A stepped append adds a
+one-symbol chunk.  A stepped case pops one chunk and, if it is longer
+than a symbol, pushes the rest back one symbol a chunk, so each symbol
+is split out at most once and no run goes quadratic.  No chunk is
+empty, so an empty deque is an empty register.
 
 The ``fast_assign`` variant is a cost rule on the same table: a move
 block between registers 1-8 costs one step and runs atomically, so the
@@ -210,7 +218,9 @@ class TrmProgram:
     def _summaries(self):
         """(blocks, names), built once per program: the summed-up loops
         and write runs keyed by start pc, and the registers that the
-        instructions name."""
+        instructions name.  A block is its end pc and then a summary in
+        ``_loop_block``'s form: a write run reads R0 and costs one step
+        an append, and an erase has no outs."""
         if self._blocks is None:
             instrs = self.instrs
             ops = bytes(map(itemgetter(0), instrs))
@@ -218,7 +228,7 @@ class TrmProgram:
             for run in re.finditer(rb"[\x01\x02]{2,}", ops):
                 k, end = run.span()
                 blocks[k + 1] = (end + 1, 0, end - k, 0, 0,
-                                 [(n, text, text.count("1"))
+                                 [(n, text, text.count("1"), None, 0, 0)
                                   for n, text in _appends(instrs[k:end])],
                                  False)
             for case in re.finditer(rb"\x05\x03\x03", ops):
@@ -233,7 +243,7 @@ class TrmProgram:
             for case in re.finditer(rb"\x05\x03\x04\x04", ops):
                 k = case.start()    # trm_erase: two steps a symbol
                 if instrs[k + 1:k + 4] == ((3, 3), (4, 2), (4, 3)):
-                    blocks[k + 1] = (k + 5, instrs[k][1], 2, 2, 2, [], False)
+                    blocks[k + 1] = (k + 5, instrs[k][1], 2, 2, 2, (), False)
             names = {n for op, n in set(instrs) if op in (1, 2, 5)}
             self._blocks = (blocks, names)
         return self._blocks
@@ -264,10 +274,16 @@ def _appends(body):
 def _loop_block(loop):
     """The summary of ``loop``, the instructions of one ``_loop`` shape
     whose bounds the caller has checked, or None: (r, fixed cost, cost per
-    1, cost per #, ((n, lanes, o1, h1), ...), whether it is a move between
-    registers 1-8).  The images of register n are what the bodies append
-    to it on a 1 and on a #: ``lanes`` is how ``_image`` applies them, and
-    o1 and h1 are their counts of 1s."""
+    1, cost per #, outs, whether it is a move between registers 1-8).
+
+    Every block has this form, and one rule: it clears the register r
+    that it reads, and appends to each register n of an out (n, const, c,
+    lanes, o1, h1) the constant ``const``, holding c 1s, and then the
+    image of what r held.  ``lanes`` is how ``_image`` builds that image,
+    and o1 and h1 are the counts of 1s in the images of 1 and #.  A
+    loop's images of register n are what its bodies append to n on a 1
+    and on a #, and its constants are empty.  A write run reads R0,
+    which is always empty, so its outs append their constants alone."""
     r = loop[0][1]
     h = loop[2][1] - 2
     o = len(loop) - 5 - h
@@ -280,7 +296,8 @@ def _loop_block(loop):
     outs = []
     for n in hashes.keys() | ones.keys():
         one, hash_ = ones.get(n, ""), hashes.get(n, "")
-        outs.append((n, _lanes(one, hash_), one.count("1"), hash_.count("1")))
+        outs.append((n, "", 0, _lanes(one, hash_),
+                     one.count("1"), hash_.count("1")))
     move = (h == o == 1 and on_hash[0][0] == 2 and on_one[0][0] == 1
             and on_hash[0][1] == on_one[0][1] <= 8 and r <= 8)
     return (r, 2, o + 3, h + 2, tuple(outs), move)
@@ -305,17 +322,20 @@ def _chain(blocks, pc, mark):
     composed into one transformer of the registers; None for fewer than
     two blocks.
 
-    The chain's sources are the registers it touches; A_i and B_i are
-    the counts of 1s and #s in the i-th of them at the chain's start.
-    While composing, each source holds a list of pieces, each a constant
-    text or (i, one, hash_): the i-th source's text at the start with
-    each 1 replaced by ``one`` and each # by ``hash_``.  A loop images each
-    piece of its register: a constant once, here, and a source piece by
-    composing the two images.  Each source also holds the linear forms
-    of its 1s and #s in the A_i and B_i, as lists of coefficients: the
-    constant at 0, A_i at 2i + 1 and B_i at 2i + 2.  A block's cost is
-    linear in the forms of the register it reads, and so are the forms
-    of the images it appends.
+    The chain's sources are the registers it touches but R0, which is
+    always empty; A_i and B_i are the counts of 1s and #s in the i-th
+    source at the chain's start.  While composing, each register holds a
+    list of pieces, each a constant text or (i, one, hash_): the i-th
+    source's text at the start with each 1 replaced by ``one`` and each #
+    by ``hash_``.  Each block is composed by the one block rule
+    (``_loop_block``): to each of its outs it appends the constant, and
+    then images each piece of its register, a constant once, here, and a
+    source piece by composing the two images.  R0 holds no piece, so a
+    write run appends its constants alone.  Each register also holds the
+    linear forms of its 1s and #s in the A_i and B_i, as lists of
+    coefficients: the constant at 0, A_i at 2i + 1 and B_i at 2i + 2;
+    R0's are zero.  A block's cost is linear in the forms of the register
+    it reads, and so are the forms of what it appends.
 
     The result is (end, sources, standard cost, fast cost, writes), a
     form now being ((index, coefficient), ...) over ``counts`` = [1, A_0,
@@ -333,40 +353,36 @@ def _chain(blocks, pc, mark):
     sources = tuple(sorted({r for _, r, *_ in chain if r}
                            | {out[0] for block in chain for out in block[5]}))
     zero = [0] * (2 * len(sources) + 1)
-    regs = {}
+    regs = {0: ([], zero, zero)}    # R0: always empty, never a source
     for i, n in enumerate(sources):
         ones, hashes = zero[:], zero[:]
         ones[2 * i + 1] = hashes[2 * i + 2] = 1
         regs[n] = ([(i, "1", "#")], ones, hashes)
     std, fast = zero[:], zero[:]
     for _, r, base, per_one, per_hash, outs, move in chain:
+        pieces, a, b = regs[r]
+        regs[r] = ([], zero[:], zero[:])
         cost = zero[:]
         cost[0] = base
-        if r:
-            pieces, a, b = regs[r]
-            regs[r] = ([], zero[:], zero[:])
+        for j in range(len(zero)):
+            cost[j] += per_one * a[j] + per_hash * b[j]
+        for n, const, c, lanes, o1, h1 in outs:
+            target, ones, hashes = regs[n]
+            _append(target, const)
+            for piece in pieces:
+                if type(piece) is str:
+                    _append(target, _image(piece, lanes))
+                else:
+                    i, one, hash_ = piece
+                    _append(target, (i, _image(one, lanes),
+                                     _image(hash_, lanes)))
+            ones[0] += c
+            hashes[0] += len(const) - c
+            o2 = len(_image("1", lanes)) - o1   # the #s of each image
+            h2 = len(_image("#", lanes)) - h1
             for j in range(len(zero)):
-                cost[j] += per_one * a[j] + per_hash * b[j]
-            for n, lanes, o1, h1 in outs:
-                target, ones, hashes = regs[n]
-                for piece in pieces:
-                    if type(piece) is str:
-                        _append(target, _image(piece, lanes))
-                    else:
-                        i, one, hash_ = piece
-                        _append(target, (i, _image(one, lanes),
-                                         _image(hash_, lanes)))
-                o2 = len(_image("1", lanes)) - o1   # the #s of each image
-                h2 = len(_image("#", lanes)) - h1
-                for j in range(len(zero)):
-                    ones[j] += o1 * a[j] + h1 * b[j]
-                    hashes[j] += o2 * a[j] + h2 * b[j]
-        else:                       # a write run
-            for n, text, c in outs:
-                target, ones, hashes = regs[n]
-                _append(target, text)
-                ones[0] += c
-                hashes[0] += len(text) - c
+                ones[j] += o1 * a[j] + h1 * b[j]
+                hashes[j] += o2 * a[j] + h2 * b[j]
         for j in range(len(zero)):
             std[j] += cost[j]
             if not move:
@@ -381,16 +397,16 @@ def _chain(blocks, pc, mark):
         (n, tuple(piece if type(piece) is str
                   else (piece[0], _lanes(piece[1], piece[2]))
                   for piece in pieces), form(ones))
-        for n, (pieces, ones, _) in regs.items())
+        for n, (pieces, ones, _) in regs.items() if n)
     return chain[-1][0], sources, form(std), form(fast), writes
 
 
 def _append(pieces, piece):
     """Append ``piece`` to a register's pieces, joined to a constant
-    before it."""
+    before it; an empty constant appends nothing."""
     if type(piece) is str and pieces and type(pieces[-1]) is str:
         pieces[-1] += piece
-    else:
+    elif piece:
         pieces.append(piece)
 
 
@@ -684,18 +700,13 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
                 if cost <= fuel - steps:
                     steps += cost
                     pc = end
-                    if r:
-                        regs[r].clear()
-                        ones[r] = 0
-                        for n, lanes, o1, h1 in outs:
-                            add = _image(text, lanes)
-                            if add:             # no empty chunk
-                                regs[n].append(add)
-                                ones[n] += a * o1 + b * h1
-                    else:
-                        for n, add, c in outs:
+                    regs[r].clear()
+                    ones[r] = 0
+                    for n, const, c, lanes, o1, h1 in outs:
+                        add = const + _image(text, lanes)
+                        if add:                 # no empty chunk
                             regs[n].append(add)
-                            ones[n] += c
+                            ones[n] += c + a * o1 + b * h1
                     continue
                 blocks = {}         # the fuel runs out inside this block
         if not 0 < pc <= length:

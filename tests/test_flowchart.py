@@ -628,17 +628,24 @@ def test_a_new_shape_compiles_at_any_stack_a_compiled_one_runs_at(monkeypatch):
 
 def test_outlined_commands_start_at_their_callers_chain_position():
     # a block outlined past _MAX_NEST runs the countdown by univ, and so
-    # starts a chain of univ calls, near the recursion limit
-    p = prog(("d",), _deep(seq(
-        asg("out", univ(Quote(parse(COUNTDOWN)), V("d"))),
-        asg("d", QNIL()))), "out")
+    # starts a chain of univ calls: near the recursion limit it runs
+    # wherever its twin without the whiles, where nothing is outlined, does
+    body = seq(asg("out", univ(Quote(parse(COUNTDOWN)), V("d"))),
+               asg("d", QNIL()))
+    p, twin = prog(("d",), _deep(body), "out"), prog(("d",), body, "out")
     assert "yield B1(" in _Emitter(p, True).source()
-    want = run(p, [to_unary(300)], 10**7, mode="reflective")
+    assert "yield B" not in _Emitter(twin, True).source()
+
+    def runs(program):
+        return lambda: run(program, [to_unary(300)], 10**7, mode="reflective")
+
+    want = runs(p)()
     assert want.halted and equal(want.value, to_unary(300))
-    entry = _least_margin(lambda: run(dec("((d) (:= out d) out)"), [NIL], 10))
-    for margin in (40, 25, entry + 3):
-        r = _near_the_recursion_limit(
-            margin, lambda: run(p, [to_unary(300)], 10**7, mode="reflective"))
+    for _ in range(10):     # code run a few times takes a frame less
+        runs(p)()
+        runs(twin)()
+    for margin in range(40, _least_margin(runs(twin)) - 1, -1):
+        r = _near_the_recursion_limit(margin, runs(p))
         assert (r.status, r.steps) == (want.status, want.steps), margin
         assert equal(r.value, want.value)
 

@@ -1,18 +1,24 @@
-"""Hostile inputs on the flowchart side.  Every node kind and ``Program``
-builds or raises ``TypeError`` whatever its fields hold, and a tree
-that builds is well formed.  Every public name of ``flowchart``,
-``specializer``, ``srt`` and ``selfint``, given such trees and values
-of the wrong type for its required parameters, returns a result or
-raises ``TypeError`` or ``ValueError`` (``DecodeError`` among them):
+"""Hostile inputs.  Every node kind and ``Program`` builds or raises
+``TypeError`` whatever its fields hold, and a tree that builds is well
+formed.  Every public name of ``sexpr``, ``flowchart``, ``specializer``,
+``srt``, ``selfint`` and ``trm``, given such trees, 1# programs and
+values of the wrong type for each of its parameters, optional ones
+too, returns a result or raises ``TypeError`` or ``ValueError``
+(``DecodeError``, ``ParseError`` and ``TrmParseError`` among them):
 never ``AttributeError``, ``KeyError``, ``IndexError``,
-``RecursionError`` or anything else."""
+``RecursionError`` or anything else.  The fixpoint and Futamura
+constructions that run a program may also raise ``RuntimeError`` when
+that run does not halt within its fuel.
+
+Integers stay small and fuel at most 10^4, so that no call allocates
+a register or numeral of gigabytes or runs for minutes."""
 
 import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srtlab import flowchart, selfint, specializer, srt
+from srtlab import flowchart, selfint, sexpr, specializer, srt, trm
 from srtlab.flowchart import (
     Assign, Cons, Eq, Hd, If, IsAtom, Program, Quote, SelfRef, Seq, Tl,
     UnivCall, Var, While, command_vars, encode, expr_vars,
@@ -31,7 +37,7 @@ COMMANDS = (Assign, Seq, While, If)
 # constructions reject: *, (), the reserved prefix and a space
 names = st.sampled_from(["x", "d", "q", "out", "y"]) \
     | st.sampled_from(["*", "()", "%r", "a b"])
-scalars = st.one_of(st.integers(), st.none(), st.binary(max_size=2),
+scalars = st.one_of(st.integers(-3, 64), st.none(), st.binary(max_size=2),
                     st.text(max_size=2), names)
 sexprs = st.recursive(st.sampled_from(["a", "()", "1"]).map(Atom),
                       lambda inner: st.builds(Pair, inner, inner), max_leaves=4)
@@ -102,14 +108,39 @@ def test_every_construction_builds_or_raises_type_error(kind, values):
     assert all(type(name) is str for name in names_used)
 
 
-def _required(function):
-    """The number of parameters of ``function`` without a default."""
-    return sum(p.default is p.empty and p.kind in (p.POSITIONAL_ONLY,
-                                                   p.POSITIONAL_OR_KEYWORD)
-               for p in inspect.signature(function).parameters.values())
+def _trm_program(raw):
+    """``raw`` as a 1# program if it parses, else the text itself."""
+    try:
+        return trm.TrmProgram(raw)
+    except trm.TrmParseError:
+        return raw
 
 
-PUBLIC = [(module, name) for module in (flowchart, specializer, srt, selfint)
+# 1# texts: toolkit blocks, a jump past the end, a loop forever, any text
+trm_texts = st.sampled_from([
+    "", "1#", "1###", "1####", trm.write_code("1#1"), trm.trm_move(1, 2).raw,
+    trm.trm_erase(2).raw, trm.trm_write_program().raw]) \
+    | st.text("1#", max_size=12)
+trm_values = st.one_of(trm_texts.map(_trm_program), trm_texts,
+                       st.lists(trm_texts, max_size=3))
+renamings = st.dictionaries(names, names | scalars, max_size=2)
+values = st.one_of(programs, commands, expressions, sexprs, renamings,
+                   hostile_programs, anything, trm_values,
+                   st.lists(sexprs | scalars, max_size=3))
+#: Values for parameters by name, each drawn as often as ``values``.
+HINTS = {
+    "fuel": st.integers(-3, 64) | st.just(10**4),
+    "mode": st.sampled_from(["plain", "reflective"]),
+    "variant": st.sampled_from(["standard", "fast_assign"]),
+    "stage": st.sampled_from(["target", "compiler", "cogen"]),
+    "node": expressions | commands,
+}
+#: The constructions that run a program, and fail when it does not halt.
+RUNNERS = {srt.moss_fixpoint, selfint.futamura, trm.trm_moss_fixpoint,
+           trm.trm_kleene_fixpoint}
+
+PUBLIC = [(module, name)
+          for module in (sexpr, flowchart, specializer, srt, selfint, trm)
           for name in module.__all__
           if callable(getattr(module, name)) and getattr(module, name) not in NODE_KINDS]
 
@@ -120,11 +151,12 @@ PUBLIC = [(module, name) for module in (flowchart, specializer, srt, selfint)
 @given(st.data())
 def test_every_public_name_returns_or_raises_type_or_value_error(module, name, data):
     function = getattr(module, name)
-    renamings = st.dictionaries(names, names | scalars, max_size=2)
-    args = [data.draw(st.one_of(programs, commands, expressions, sexprs,
-                                renamings, hostile_programs, anything))
-            for _ in range(_required(function))]
+    args = [data.draw(st.one_of(HINTS.get(p, st.nothing()), values))
+            for p in inspect.signature(function).parameters]
     try:
         function(*args)
     except (TypeError, ValueError):
         pass
+    except RuntimeError:
+        if function not in RUNNERS:
+            raise

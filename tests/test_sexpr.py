@@ -177,6 +177,12 @@ def test_values_are_closed_at_construction(bad):
     for walk in (sexpr_print, measure, decode):
         with pytest.raises(TypeError, match="must be an Atom or a Pair"):
             walk(bad)
+    pair = Pair(NIL, NIL)
+    with pytest.raises(TypeError, match="equal's first argument must be"):
+        equal(bad, pair)
+    with pytest.raises(TypeError, match="equal's second argument must be"):
+        equal(pair, bad)
+    assert not equal(NIL, bad) and not equal(bad, NIL)  # an atom decides
 
 
 def test_a_pair_holding_a_non_value_deeper_down_cannot_be_built():
