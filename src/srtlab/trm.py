@@ -22,45 +22,45 @@ toolkit below (move, write, diag, s11) and both fixpoint constructions
 are built by concatenating text, and every toolkit loop has the one
 shape that ``_loop`` emits.
 
-The runner executes two static shapes in one iteration each, charging
-the exact step count of running them one instruction at a time:
+The runner sums up three static shapes, charging the exact step count
+of running them one instruction at a time:
 
   * a loop of that shape whose bodies of h (on #) and o (on 1) appends
     never name its case register: on a register holding a 1s and b #s
-    it costs (o+3)a + (h+2)b + 2 steps, and its effect is one image of
-    that register's text appended to each register the bodies name: the
-    text with each 1 and each # replaced by what the bodies append to
-    that register on it (``trm_erase``'s loop, at 2a + 2b + 2, is summed
-    up too);
-  * a write run of two or more appends: one step each.
+    it costs (o+3)a + (h+2)b + 2 steps, clears the register, and appends
+    to each register the bodies name one image of the register's text:
+    the text with each 1 and each # replaced by what the bodies append
+    to that register on it;
+  * ``trm_erase``'s loop, at 2a + 2b + 2 steps, which only clears;
+  * a write run of two or more appends: one step each, and no register
+    read.
 
-Both are blocks of one form, applied by one rule (``_loop_block``): a
-block clears the register it reads, and appends to each register it
-names a constant text and then an image of what the read register held.
-A loop's constants are empty.  A write run reads R0, which no
-instruction names and so is always empty: it appends its constants
-alone, and its cost has no term per symbol.
+All summed-up code has one form, a register transformer (``_loop_block``
+gives the record): it reads some source registers, writes some
+registers, each as constant texts and images of the sources' texts at
+its start, appended to what the register holds or in its place, and
+costs a sum linear in the sources' counts of 1s and #s.  The runner
+applies every transformer by one rule, in one iteration.
 
-The table of these blocks is built once per program, keyed by start pc.
-A loop's summary depends only on its own instructions, so it is cached
-by them (up to 1024 shapes): every fixpoint repeats the same few toolkit
-loops, and a new program's table reuses their images.  The runner
-steps one instruction at a time instead when a block costs more than
-the fuel left, or when it ends past the set-up boundary, so exhaustion
-and ``setup_steps`` stay exact.
+The table of one-block transformers is built once per program, keyed by
+start pc.  A loop's transformer depends only on its own instructions, so
+it is cached by them (up to 1024 shapes): every fixpoint repeats the
+same few toolkit loops, and a new program's table reuses their images.
+The runner steps one instruction at a time instead when a block costs
+more than the fuel left, or when it ends past the set-up boundary, so
+exhaustion and ``setup_steps`` stay exact.
 
-From a program's second run on, the runner also applies each chain of
-two or more blocks that follow each other, each ending where the next
-begins, in one iteration.  A chain stops at the first pc with no block
-and before a block that ends past the boundary.  ``_chain`` composes
-it, once per program, start and boundary, into one transformer of the
-registers: each register it touches becomes constant texts and images
-of the registers' texts at its start, and its cost, the sum of its
-blocks' costs, is linear in their counts of 1s and #s.  So the
-self-text that a fixpoint's set-up rebuilds on every run is built once.
-A chain that costs more than the fuel left runs block by block.  A
-program's first run composes no chain: a program run once would pay
-for composing and gain nothing.
+From a program's second run on, the runner applies each chain of two or
+more blocks that follow each other, each ending where the next begins,
+as one transformer.  A chain stops at the first pc with no block and
+before a block that ends past the boundary.  ``_chain`` composes it,
+once per program, start and boundary, by a fold over its blocks.  A
+register becomes a source only if a block reads it before any block
+clears it, so one that the chain only appends to is never read.  The
+self-text that a fixpoint's set-up rebuilds on every run is then built
+once.  A chain that costs more than the fuel left falls back to its
+first block.  A program's first run composes no chain: a program run
+once would pay for composing and gain nothing.
 
 Both fixpoints and ``trm_moss_qhat`` look their program up by its whole
 text among the 64 most recently built (``_program``).  A fixpoint built
@@ -71,20 +71,18 @@ whole, and a text that fails to parse raises as ``TrmProgram`` does.
 Each register is a deque of non-empty text chunks, with a count of its
 1s kept beside it: an input is counted once, as it is checked; a
 stepped append of 1 adds one, a stepped case that consumes a 1 takes
-one away, and a summed-up block's clear sets it to 0.  So a block's
-cost needs no pass over the text.  A summed-up block reads its register
-with one join and appends to each target its constant and image as
-one chunk, together with c + a·o1 + b·h1 to the target's count, where c
-is the constant's count of 1s and o1 and h1 are the 1-counts of the
-images of 1 and #.  ``_image`` builds an image from byte lanes: lane j
-is the j-th character of each symbol's image, a lane where both images
-agree is filled in with the rest, and each other lane is one
-``bytes.translate`` of the text written through an extended slice; a
-move or copy appends the text itself.  A stepped append adds a
-one-symbol chunk.  A stepped case pops one chunk and, if it is longer
-than a symbol, pushes the rest back one symbol a chunk, so each symbol
-is split out at most once and no run goes quadratic.  No chunk is
-empty, so an empty deque is an empty register.
+one away, and a transformer's write sets it or adds to it by a form
+linear in the sources' counts.  So a transformer's cost needs no pass
+over the text.  A transformer joins each source once, and appends each
+constant or image that a write names as one chunk.  ``_image`` builds an
+image from byte lanes: lane j is the j-th character of each symbol's
+image, a lane where both images agree is filled in with the rest, and
+each other lane is one ``bytes.translate`` of the text written through
+an extended slice; a move or copy appends the text itself.  A stepped
+append adds a one-symbol chunk.  A stepped case pops one chunk and, if
+it is longer than a symbol, pushes the rest back one symbol a chunk, so
+each symbol is split out at most once and no run goes quadratic.  No
+chunk is empty, so an empty deque is an empty register.
 
 The ``fast_assign`` variant is a cost rule on the same table: a move
 block between registers 1-8 costs one step and runs atomically, so the
@@ -216,21 +214,22 @@ class TrmProgram:
         return f"<1# program [{len(self.instrs)} instrs] {text}>"
 
     def _summaries(self):
-        """(blocks, names), built once per program: the summed-up loops
-        and write runs keyed by start pc, and the registers that the
-        instructions name.  A block is its end pc and then a summary in
-        ``_loop_block``'s form: a write run reads R0 and costs one step
-        an append, and an erase has no outs."""
+        """(blocks, names), built once per program: the summed-up loops,
+        erases and write runs keyed by start pc, each a one-block
+        transformer (``_loop_block``), and the registers that the
+        instructions name.  A write run reads nothing and costs one step
+        an append; an erase only clears the register it reads."""
         if self._blocks is None:
             instrs = self.instrs
             ops = bytes(map(itemgetter(0), instrs))
             blocks = {}
             for run in re.finditer(rb"[\x01\x02]{2,}", ops):
                 k, end = run.span()
-                blocks[k + 1] = (end + 1, 0, end - k, 0, 0,
-                                 [(n, text, text.count("1"), None, 0, 0)
-                                  for n, text in _appends(instrs[k:end])],
-                                 False)
+                cost = ((0, end - k),)
+                blocks[k + 1] = (end + 1, (), cost, cost, False, tuple([
+                    (n, True, (text,),
+                     ((0, text.count("1")),) if "1" in text else ())
+                    for n, text in sorted(_appends(instrs[k:end]))]))
             for case in re.finditer(rb"\x05\x03\x03", ops):
                 k = case.start()
                 h = instrs[k + 2][1] - 2
@@ -243,7 +242,10 @@ class TrmProgram:
             for case in re.finditer(rb"\x05\x03\x04\x04", ops):
                 k = case.start()    # trm_erase: two steps a symbol
                 if instrs[k + 1:k + 4] == ((3, 3), (4, 2), (4, 3)):
-                    blocks[k + 1] = (k + 5, instrs[k][1], 2, 2, 2, (), False)
+                    r = instrs[k][1]
+                    cost = ((0, 2), (1, 2), (2, 2))
+                    blocks[k + 1] = (k + 5, (r,), cost, cost, False,
+                                     ((r, False, (), ()),))
             names = {n for op, n in set(instrs) if op in (1, 2, 5)}
             self._blocks = (blocks, names)
         return self._blocks
@@ -272,18 +274,26 @@ def _appends(body):
 
 @functools.lru_cache(maxsize=1024)
 def _loop_block(loop):
-    """The summary of ``loop``, the instructions of one ``_loop`` shape
-    whose bounds the caller has checked, or None: (r, fixed cost, cost per
-    1, cost per #, outs, whether it is a move between registers 1-8).
+    """The one-block transformer of ``loop``, the instructions of one
+    ``_loop`` shape whose bounds the caller has checked, less its end pc;
+    or None if a body does more than append or names the case register.
 
-    Every block has this form, and one rule: it clears the register r
-    that it reads, and appends to each register n of an out (n, const, c,
-    lanes, o1, h1) the constant ``const``, holding c 1s, and then the
-    image of what r held.  ``lanes`` is how ``_image`` builds that image,
-    and o1 and h1 are the counts of 1s in the images of 1 and #.  A
-    loop's images of register n are what its bodies append to n on a 1
-    and on a #, and its constants are empty.  A write run reads R0,
-    which is always empty, so its outs append their constants alone."""
+    A transformer (end, sources, std, fast, atomic, writes) is the one
+    form of all summed-up code: a block or a chain of them (``_chain``)
+    that ends at pc ``end``.  A run joins the text of each source register
+    once; A_i and B_i are the counts of 1s and #s in the i-th, and a form
+    is ((index, coefficient), ...) over [1, A_0, B_0, A_1, B_1, ...].
+    ``std`` and ``fast`` are the forms of the steps it costs under the two
+    variants; ``atomic`` marks a single move between registers 1-8, which
+    ``fast_assign`` runs as one step.  Each write (n, keep, parts, form)
+    sets register n to the join of ``parts``, each a constant text or an
+    image (i, lanes) of the i-th source's text (``_image``), and n's count
+    of 1s to ``form``; with ``keep`` it appends them to what n holds.
+
+    A loop on register r has the one source r and costs 2 + (o+3)·A_0 +
+    (h+2)·B_0 steps: it clears r, and appends to each register that its
+    bodies name the image of r's text in which each 1 and each # become
+    what the bodies append to that register on it."""
     r = loop[0][1]
     h = loop[2][1] - 2
     o = len(loop) - 5 - h
@@ -293,112 +303,114 @@ def _loop_block(loop):
             or any(op > 2 or n == r for op, n in on_hash + on_one)):
         return None
     hashes, ones = dict(_appends(on_hash)), dict(_appends(on_one))
-    outs = []
+    writes = [(r, False, (), ())]
     for n in hashes.keys() | ones.keys():
         one, hash_ = ones.get(n, ""), hashes.get(n, "")
-        outs.append((n, "", 0, _lanes(one, hash_),
-                     one.count("1"), hash_.count("1")))
-    move = (h == o == 1 and on_hash[0][0] == 2 and on_one[0][0] == 1
-            and on_hash[0][1] == on_one[0][1] <= 8 and r <= 8)
-    return (r, 2, o + 3, h + 2, tuple(outs), move)
+        writes.append((n, True, ((0, _lanes(one, hash_)),),
+                       _form({1: one.count("1"), 2: hash_.count("1")})))
+    atomic = (h == o == 1 and on_hash[0][0] == 2 and on_one[0][0] == 1
+              and on_hash[0][1] == on_one[0][1] <= 8 and r <= 8)
+    std = ((0, 2), (1, o + 3), (2, h + 2))
+    return ((r,), std, ((0, 1),) if atomic else std, atomic,
+            tuple(sorted(writes)))
+
+
+def _form(coefficients):
+    """The form of a dict of index -> coefficient: its non-zero terms,
+    in index order."""
+    return tuple((j, k) for j, k in sorted(coefficients.items()) if k)
 
 
 class _Chains(dict):
-    """(start pc, mark) -> the chain of blocks from that pc (``_chain``),
-    or None; each is composed the first time it is looked up."""
+    """(start pc, mark) -> the chain of blocks from that pc, composed by
+    ``_chain`` the first time it is looked up: the blocks that follow each
+    other, each ending where the next begins, up to the first pc with no
+    block or before the first block that ends past ``mark``.  None for
+    fewer than two blocks."""
 
     def __init__(self, blocks):
         super().__init__()
         self.blocks = blocks
 
     def __missing__(self, key):
-        self[key] = chain = _chain(self.blocks, *key)
-        return chain
+        pc, mark = key
+        chain = []
+        block = self.blocks.get(pc)
+        while block is not None and block[0] <= mark:
+            chain.append(block)
+            block = self.blocks.get(block[0])
+        self[key] = composed = _chain(chain) if len(chain) > 1 else None
+        return composed
 
 
-def _chain(blocks, pc, mark):
-    """The blocks that follow each other from ``pc``, up to the first pc
-    with no block or before the first block that ends past ``mark``,
-    composed into one transformer of the registers; None for fewer than
-    two blocks.
+def _chain(transformers):
+    """The transformers (``_loop_block``), run one after another, as one.
 
-    The chain's sources are the registers it touches but R0, which is
-    always empty; A_i and B_i are the counts of 1s and #s in the i-th
-    source at the chain's start.  While composing, each register holds a
-    list of pieces, each a constant text or (i, one, hash_): the i-th
-    source's text at the start with each 1 replaced by ``one`` and each #
-    by ``hash_``.  Each block is composed by the one block rule
-    (``_loop_block``): to each of its outs it appends the constant, and
-    then images each piece of its register, a constant once, here, and a
-    source piece by composing the two images.  R0 holds no piece, so a
-    write run appends its constants alone.  Each register also holds the
-    linear forms of its 1s and #s in the A_i and B_i, as lists of
-    coefficients: the constant at 0, A_i at 2i + 1 and B_i at 2i + 2;
-    R0's are zero.  A block's cost is linear in the forms of the register
-    it reads, and so are the forms of what it appends.
-
-    The result is (end, sources, standard cost, fast cost, writes), a
-    form now being ((index, coefficient), ...) over ``counts`` = [1, A_0,
-    B_0, A_1, B_1, ...].  A run joins each source once into ``texts``,
-    evaluates the cost, and writes each register of (n, parts, 1-count
-    form): the join of its parts, each a constant or an image (i,
-    lanes) of ``texts[i]``."""
-    chain = []
-    block = blocks.get(pc)
-    while block is not None and block[0] <= mark:
-        chain.append(block)
-        block = blocks.get(block[0])
-    if len(chain) < 2:
-        return None
-    sources = tuple(sorted({r for _, r, *_ in chain if r}
-                           | {out[0] for block in chain for out in block[5]}))
-    zero = [0] * (2 * len(sources) + 1)
-    regs = {0: ([], zero, zero)}    # R0: always empty, never a source
-    for i, n in enumerate(sources):
-        ones, hashes = zero[:], zero[:]
-        ones[2 * i + 1] = hashes[2 * i + 2] = 1
-        regs[n] = ([(i, "1", "#")], ones, hashes)
-    std, fast = zero[:], zero[:]
-    for _, r, base, per_one, per_hash, outs, move in chain:
-        pieces, a, b = regs[r]
-        regs[r] = ([], zero[:], zero[:])
-        cost = zero[:]
-        cost[0] = base
-        for j in range(len(zero)):
-            cost[j] += per_one * a[j] + per_hash * b[j]
-        for n, const, c, lanes, o1, h1 in outs:
-            target, ones, hashes = regs[n]
-            _append(target, const)
-            for piece in pieces:
-                if type(piece) is str:
-                    _append(target, _image(piece, lanes))
-                else:
-                    i, one, hash_ = piece
-                    _append(target, (i, _image(one, lanes),
-                                     _image(hash_, lanes)))
-            ones[0] += c
-            hashes[0] += len(const) - c
-            o2 = len(_image("1", lanes)) - o1   # the #s of each image
-            h2 = len(_image("#", lanes)) - h1
-            for j in range(len(zero)):
-                ones[j] += o1 * a[j] + h1 * b[j]
-                hashes[j] += o2 * a[j] + h2 * b[j]
-        for j in range(len(zero)):
-            std[j] += cost[j]
-            if not move:
-                fast[j] += cost[j]
-        if move:                    # one step under fast_assign
-            fast[0] += 1
-
-    def form(coefficients):
-        return tuple((j, k) for j, k in enumerate(coefficients) if k)
-
+    A fold over them keeps, for each register written so far, whether it
+    still starts with the text it held at the chain's start, and the
+    pieces that follow: constant texts, and images (i, one, hash_) of the
+    i-th source's text at the start, with each 1 replaced by ``one`` and
+    each # by ``hash_``.
+    A transformer reads a register as its pieces, after the register's
+    own text if it still starts with it; only then does the register
+    become a source.  So a register that is only appended to is never
+    joined, and its write keeps its text.  Each write images the pieces
+    it reads, a constant once, here, and a source piece by composing the
+    two images; each cost form is rewritten over the sources by counting
+    the 1s and #s of the pieces it reads."""
+    sources = {}                    # register -> its index as a source
+    regs = {}                       # register -> (keeps its text, pieces)
+    std, fast = {}, {}
+    for _, reads, std_k, fast_k, _, writes in transformers:
+        texts = []
+        for s in reads:
+            keeps, pieces = regs.get(s, (True, []))
+            if keeps:
+                i = sources.setdefault(s, len(sources))
+                pieces = [(i, "1", "#"), *pieces]
+            texts.append(pieces)
+        counts = [{0: 1}]
+        for pieces in texts:
+            counts += _tally(pieces, "1"), _tally(pieces, "#")
+        for total, form in ((std, std_k), (fast, fast_k)):
+            for i, k in form:
+                for j, c in counts[i].items():
+                    total[j] = total.get(j, 0) + k * c
+        for n, keep, parts, _ in writes:
+            keeps, pieces = regs.get(n, (True, [])) if keep else (False, [])
+            pieces = pieces[:]
+            for part in parts:
+                if type(part) is str:
+                    _append(pieces, part)
+                    continue
+                i, lanes = part
+                for piece in texts[i]:
+                    _append(pieces, _image(piece, lanes)
+                            if type(piece) is str else
+                            (piece[0], _image(piece[1], lanes),
+                             _image(piece[2], lanes)))
+            regs[n] = keeps, pieces
     writes = tuple(
-        (n, tuple(piece if type(piece) is str
-                  else (piece[0], _lanes(piece[1], piece[2]))
-                  for piece in pieces), form(ones))
-        for n, (pieces, ones, _) in regs.items() if n)
-    return chain[-1][0], sources, form(std), form(fast), writes
+        (n, keeps, tuple(piece if type(piece) is str
+                         else (piece[0], _lanes(piece[1], piece[2]))
+                         for piece in pieces), _form(_tally(pieces, "1")))
+        for n, (keeps, pieces) in sorted(regs.items()) if pieces or not keeps)
+    return (transformers[-1][0], tuple(sources), _form(std), _form(fast),
+            len(transformers) == 1 and transformers[0][4], writes)
+
+
+def _tally(pieces, symbol):
+    """The count of ``symbol`` in ``pieces`` (``_chain``), as a dict of
+    index -> coefficient over [1, A_0, B_0, A_1, B_1, ...]."""
+    counts = {}
+    for piece in pieces:
+        if type(piece) is str:
+            counts[0] = counts.get(0, 0) + piece.count(symbol)
+        else:
+            i, one, hash_ = piece
+            for j, image in ((2 * i + 1, one), (2 * i + 2, hash_)):
+                counts[j] = counts.get(j, 0) + image.count(symbol)
+    return counts
 
 
 def _append(pieces, piece):
@@ -612,11 +624,19 @@ class TrmResult:
 def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     """Execute with the arguments in R1, R2, ...; result is R1.
 
-    ``inputs`` is a list or tuple of str over {1,#}; anything else raises
-    ``TypeError``, and a character outside {1,#} ``ValueError``.
+    A run ends halted (the counter lands one past the last instruction),
+    abnormal_halt (anywhere else out of range) or fuel_exhausted
+    (``steps`` is then ``fuel``).  The arguments are checked before any
+    step runs: ``fuel`` must be an ``int`` (else ``TypeError``; a bool is
+    none) and positive (else ``ValueError``); ``variant`` must be
+    "standard" or "fast_assign" (else ``ValueError``); ``program`` must be
+    a ``TrmProgram`` and ``inputs`` a list or tuple of str (else
+    ``TypeError``), over {1,#} (else ``ValueError``).
 
     ``boundary`` (instruction index) marks where the set-up phase ends:
     ``setup_steps`` records the count when control first reaches it.
+    Under ``fast_assign`` a move between registers 1-8 is one step and
+    atomic, so a move that crosses ``boundary`` is charged to the set-up.
     """
     if type(fuel) is not int:  # a bool is no fuel either
         raise TypeError(f"fuel must be an int, not {type(fuel).__name__}")
@@ -629,8 +649,8 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     if not isinstance(inputs, (list, tuple)):
         raise TypeError("inputs must be a list or tuple of str, "
                         f"not {type(inputs).__name__}")
-    named = names.union(range(len(inputs) + 1))     # R0 is always empty
-    regs = [None] * (max(named) + 1)    # no deque for a register never named
+    named = names.union(range(1, len(inputs) + 1))
+    regs = [None] * (max(named, default=0) + 1)   # no deque if never named
     for n in named:
         regs[n] = deque()
     ones = [0] * len(regs)              # the count of 1s in each register
@@ -658,9 +678,9 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
             mark = never
         block = blocks.get(pc)
         if block is not None:
-            chain = None if chains is None else chains[pc, mark]
-            if chain is not None:
-                end, sources, std, fast_cost, writes = chain
+            summed = block if chains is None else chains[pc, mark] or block
+            end, sources, std, fast_cost, atomic, writes = summed
+            if end <= mark or fast and atomic:
                 texts = []
                 counts = [1]
                 for s in sources:
@@ -675,38 +695,21 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
                 if cost <= fuel - steps:
                     steps += cost
                     pc = end
-                    for n, parts, form in writes:
-                        text = "".join([
-                            part if type(part) is str
-                            else _image(texts[part[0]], part[1])
-                            for part in parts])
+                    for n, keep, parts, form in writes:
                         reg = regs[n]
-                        reg.clear()
-                        if text:
-                            reg.append(text)
-                        c = 0
+                        if not keep:
+                            reg.clear()
+                            ones[n] = 0
                         for i, k in form:
-                            c += k * counts[i]
-                        ones[n] = c
+                            ones[n] += k * counts[i]
+                        for part in parts:
+                            text = part if type(part) is str \
+                                else _image(texts[part[0]], part[1])
+                            if text:        # no empty chunk
+                                reg.append(text)
                     continue
-                chains = None       # the fuel runs out inside this chain
-            end, r, base, per_one, per_hash, outs, move = block
-            atomic = fast and move
-            if end <= mark or atomic:
-                text = "".join(regs[r])     # R0, always empty, for a write run
-                a = ones[r]
-                b = len(text) - a
-                cost = 1 if atomic else base + per_one * a + per_hash * b
-                if cost <= fuel - steps:
-                    steps += cost
-                    pc = end
-                    regs[r].clear()
-                    ones[r] = 0
-                    for n, const, c, lanes, o1, h1 in outs:
-                        add = const + _image(text, lanes)
-                        if add:                 # no empty chunk
-                            regs[n].append(add)
-                            ones[n] += c + a * o1 + b * h1
+                if summed is not block:     # the fuel runs out in this chain:
+                    chains = None           # try its first block alone
                     continue
                 blocks = {}         # the fuel runs out inside this block
         if not 0 < pc <= length:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from srtlab.trm import (
-    TrmParseError, TrmProgram, _image, _lanes, _loop, setup_boundary,
+    TrmParseError, TrmProgram, _chain, _image, _lanes, _loop, setup_boundary,
     trm_compose, trm_diag_program, trm_erase, trm_kleene_fixpoint, trm_move,
     trm_moss_fixpoint, trm_moss_qhat, trm_parse, trm_print, trm_run,
     trm_s11_program, trm_write_program, write_code,
@@ -655,6 +655,42 @@ def test_chains_agree_with_the_reference_on_fixpoints(name, base, fix):
         trm_run(program, data, FUEL, variant=variant, boundary=boundary)
         assert all(program._chains[key] is chain
                    for key, chain in chains.items())   # composed once
+
+
+#: A stepped loop over R3 whose body is the chain write run to R2 +
+#: move(2,1): R1 is only ever appended to, so no chain reads it.
+APPENDING = _loop(3, "11#11#" + trm_move(2, 1).raw,
+                  "11#11#" + trm_move(2, 1).raw)
+
+
+def test_a_chain_that_only_appends_to_a_register_does_not_read_it():
+    body = trm_parse(APPENDING)._summaries()[0]
+    assert sorted(body) == [4, 6, 14, 16]     # write run, move; twice
+    sources = set()
+    for data in ("", "1", "#1", "1#11#", "##1#1"):
+        inputs = ["#1", "", data]
+        for variant in VARIANTS:
+            steps = ref_run(APPENDING, inputs, FUEL, variant)[1]
+            for boundary in (None, 6, 9):
+                for fuel in range(1, steps + 2):
+                    program = both_paths_agree(APPENDING, inputs, fuel,
+                                               variant, boundary)
+                    sources.update(chain[1] for chain
+                                   in program._chains.values() if chain)
+    assert sources == {(2,)}
+
+
+@pytest.mark.parametrize("name,base", BASES)
+def test_each_block_is_the_chain_of_itself_alone(name, base):
+    programs = [trm_move(1, 2), trm_move(9, 3), trm_erase(2),
+                trm_write_program(), trm_diag_program(), trm_s11_program(),
+                trm_moss_fixpoint(base), trm_kleene_fixpoint(base),
+                *map(trm_parse, LOOPS)]
+    for program in programs:
+        blocks = program._summaries()[0]
+        assert blocks
+        for block in blocks.values():
+            assert _chain([block]) == block
 
 
 # ---------------------------------------------------------------------------
