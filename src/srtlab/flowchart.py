@@ -8,7 +8,8 @@ which runs the encoded program inside the same run and fuel budget.
 
 ``run`` compiles each program to one Python function (cached on the
 program) and charges each straight-line block of steps with one fuel
-check.  Programs of one shape share that function.  A shape is the AST
+check.  The mode is an argument of that function, so one function
+serves both, and programs of one shape share it.  A shape is the AST
 up to a consistent renaming of its variables and the values of its
 quoted constants, of which only the kind, atom or pair, counts; one
 walk of the AST finds it, and the constants.  So a program of a known
@@ -20,11 +21,13 @@ on its own stack, with no trampoline; every 16th call in a nest starts
 a new chain instead, and yields it.  It also yields the generator of
 each deeply nested control construct.  ``_walk`` runs the chains and
 the yielded generators on one explicit stack, so fuel and memory bound
-the depth of univ nesting, not the Python stack; a run called too near
-the recursion limit for a chain of 16 is made again with chains of
-one.  A univ call on ``*`` calls the running program's function
-directly: the text is never decoded, as long as decoding it would give
-the program back (one input, and no variable named ``*`` or ``()``).
+the depth of univ nesting, not the Python stack.  ``run`` raises the
+recursion limit by one budget of frames for the whole run, enough for
+a chain and a new shape compiled at its end, so a run that can be
+entered at all runs once, in chains of 16 at any stack depth.  A univ call
+on ``*`` calls the running program's function directly: the text is
+never decoded, as long as decoding it would give the program back (one
+input, and no variable named ``*`` or ``()``).
 
 Programs have a bijective s-expression concrete syntax, so programs are
 ordinary data:
@@ -534,7 +537,7 @@ _LAST = 15
 
 
 class _Emitter:
-    """Python source for one program shape in one mode.
+    """Python source for one program shape, in either mode.
 
     ``make(C, SELF, OWN)`` binds the quoted constants (read as ``C[i]``),
     the self text and ``OWN``, true if that text decodes back to the
@@ -543,7 +546,10 @@ class _Emitter:
     returns ``(output value, steps)``.  ``D``, from 0 to ``_LAST``, is
     the position of the generator in its chain of univ calls.
     ``U(q_enc, d, s, D)`` is the run's univ: it returns the generator of
-    the encoded program ``q_enc`` on ``d``, or raises ``_Fault``.
+    the encoded program ``q_enc`` on ``d``, or raises ``_Fault``.  In
+    plain mode ``U`` is None: each ``*`` faults on that before its step,
+    and each univ call before its operands.  Code with neither has no
+    test of the mode.
     Variables are locals ``v<i>`` and constants ``C[i]``, numbered by
     the ``_shape`` walk, so the source is a function of the shape key;
     expressions become three-address code on temporaries ``t<i>``.
@@ -575,10 +581,9 @@ class _Emitter:
     sends back its return value.
     """
 
-    def __init__(self, program, reflective, shape=None):
-        _, names, self.quotes, _, _ = shape or _shape(program, reflective)
+    def __init__(self, program, shape=None):
+        _, names, self.quotes, _, _ = shape or _shape(program)
         self.program = program
-        self.reflective = reflective
         self.locals = {name: f"v{i}" for name, i in names.items()}
         self.atoms = {}       # C[i] of a quoted atom -> K<i>, its name
         self.tested = {}      # each K<i> that the source reads -> C[i]
@@ -615,7 +620,8 @@ class _Emitter:
         self.pending = 0
 
     def _fail(self, ind, detail):
-        self.lines.append(f"{ind}fault(s + {self.pending}, F, {detail!r})")
+        """Fault with ``detail`` here in plain mode."""
+        self.lines.append(f"{ind}if U is None: fault(s + {self.pending}, F, {detail!r})")
 
     def _flush(self, ind):
         if self.pending:
@@ -716,17 +722,14 @@ class _Emitter:
             elif cls is Quote:
                 values.append(self._const(expr))
                 self.pending += 1
-            elif cls is SelfRef and self.reflective:
-                values.append("SELF")
-                self.pending += 1
             elif cls is SelfRef:
                 self._fail(ind, "'*' outside reflective mode")
-                values.append("NIL")
-            elif cls is UnivCall and not self.reflective:
-                self._fail(ind, "'univ' call outside reflective mode")
-                values.append("NIL")
+                values.append("SELF")
+                self.pending += 1
             elif not ready:
                 todo.append((expr, slot, True))
+                if cls is UnivCall:
+                    self._fail(ind, "'univ' call outside reflective mode")
                 if cls is Cons or cls is Eq or cls is UnivCall:
                     left, right = (expr.prog, expr.arg) if cls is UnivCall \
                         else (expr.left, expr.right)
@@ -774,11 +777,11 @@ class _Emitter:
         return value
 
 
-def _shape(program, reflective):
+def _shape(program):
     """Walk ``program`` once, in prefix order and with no recursion, and
     return ``(key, names, quotes, consts, uses_self)``.
 
-    ``key`` is the program's shape: the mode, the number of inputs, each
+    ``key`` is the program's shape: the number of inputs, each
     node's kind, each variable as the index of its first occurrence
     (inputs first, the output last) and each quoted constant only as
     ``"atom"`` or ``"pair"``.  Renaming variables consistently or
@@ -786,13 +789,13 @@ def _shape(program, reflective):
     met again (ASTs may share subtrees) is the index of its constant.
     ``names`` maps each variable to its index, ``quotes`` each Quote
     node's id to the index of its constant in ``consts``, and
-    ``uses_self`` is true if the program reads ``*`` in reflective mode.
+    ``uses_self`` is true if the program has a ``*``.
     """
     names = {}
     for name in program.inputs:
         names[name] = len(names)
     quotes, consts = {}, []
-    key = [reflective, len(names)]
+    key = [len(names)]
     uses_self = False
     todo = [program.body]
     while todo:
@@ -814,7 +817,7 @@ def _shape(program, reflective):
             else:
                 key.append(i)
         elif cls is SelfRef:
-            uses_self = reflective
+            uses_self = True
         for field in _CHILDREN[cls]:
             todo.append(getattr(node, field))
     key.append(names.setdefault(program.output, len(names)))
@@ -825,42 +828,32 @@ def _shape(program, reflective):
 #: first; at most ``_SHAPES_MAX`` of them.
 _SHAPES = {}
 _SHAPES_MAX = 256
-#: Frames added to the recursion limit while a new shape's source is
-#: emitted and compiled, so a run entered where a compiled shape still
-#: runs can compile a new one too.
-_COMPILE_FRAMES = 50
+#: Frames added to the recursion limit for the whole of a run.  Its
+#: deepest point is a new shape compiled by a univ call at the end of a
+#: chain: ``_execute``, ``_walk``, the chain's ``_LAST + 1`` generators,
+#: ``U`` and ``_instance``, and 50 frames to emit and compile the shape.
+_FRAMES = _LAST + 5 + 50
 
 
-def _instance(program, reflective):
-    """The compiled function of ``program`` in one mode, made once, and
-    the program's own text if a univ call on that text may run this
+def _instance(program):
+    """The compiled function of ``program``, made once, and the
+    program's own text if a univ call on that text may run this
     function instead of decoding it (else None).
 
     Constants and the self text are arguments of ``make``, so programs
     of one shape share one ``make``.  A program of a known shape costs
     one ``_shape`` walk and a call of ``make``; only a new shape pays
     for emitting its source and ``compile()``, which outweighs the
-    faster execution on runs of less than a few thousand steps.  Those
-    two run with the recursion limit raised by ``_COMPILE_FRAMES``, and
-    restored after them.
+    faster execution on runs of less than a few thousand steps.
     """
-    made = program._compiled
-    if made is None:
-        made = program._compiled = [None, None]
-    entry = made[reflective]
+    entry = program._compiled
     if entry is None:
-        shape = key, names, _, consts, uses_self = _shape(program, reflective)
+        shape = key, names, _, consts, uses_self = _shape(program)
         make = _SHAPES.pop(key, None)
         if make is None:
-            limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(limit + _COMPILE_FRAMES)
-            try:
-                code = compile(_Emitter(program, reflective, shape).source(),
-                               "<flowchart>", "exec")
-            finally:
-                sys.setrecursionlimit(limit)
             namespace = dict(_GLOBALS)
-            exec(code, namespace)
+            exec(compile(_Emitter(program, shape).source(), "<flowchart>", "exec"),
+                 namespace)
             make = namespace["make"]
             if len(_SHAPES) >= _SHAPES_MAX:
                 del _SHAPES[next(iter(_SHAPES))]
@@ -870,8 +863,8 @@ def _instance(program, reflective):
         # expression as SelfRef, so with either the text is some other
         # program or none; this holds per program, not per shape
         decodes = len(program.inputs) == 1 and "*" not in names and "()" not in names
-        entry = made[reflective] = (make(tuple(consts), own, decodes),
-                                    own if decodes else None)
+        entry = program._compiled = (make(tuple(consts), own, decodes),
+                                     own if decodes else None)
     return entry
 
 
@@ -896,12 +889,11 @@ def _walk(gen):
             reply = None
 
 
-def _out(fn, d, steps, fuel, U, first):
-    """Start ``fn`` on ``d`` as the first of a new chain, at position
-    ``first``, and hand it to ``_walk`` to run.  The generator is not
-    kept here: a chain must not hold the next one, or freeing a deep
-    nest would recurse in C."""
-    return (yield fn(d, steps, fuel, U, first))
+def _out(fn, d, steps, fuel, U):
+    """Start ``fn`` on ``d`` as the first of a new chain and hand it to
+    ``_walk`` to run.  The generator is not kept here: a chain must not
+    hold the next one, or freeing a deep nest would recurse in C."""
+    return (yield fn(d, steps, fuel, U, 0))
 
 
 def run(program, args, fuel=10**7, mode="plain"):
@@ -917,11 +909,11 @@ def run(program, args, fuel=10**7, mode="plain"):
     decoded like any other text, and fails or runs just as the decoded
     program says.
 
-    Each program is compiled once per mode, and programs of one shape
-    (the same AST up to consistent renaming of variables and the values
-    of quoted constants) share one compiled function: a freshly built
-    or decoded program of a known shape costs one walk of its AST, not
-    an emission of source and a ``compile()``.
+    Each program is compiled once, for both modes, and programs of one
+    shape (the same AST up to consistent renaming of variables and the
+    values of quoted constants) share one compiled function: a freshly
+    built or decoded program of a known shape costs one walk of its
+    AST, not an emission of source and a ``compile()``.
 
     ``program`` must be a ``Program``, ``fuel`` an ``int`` and each
     argument an ``Atom`` or a ``Pair``; anything else raises
@@ -938,9 +930,9 @@ def run(program, args, fuel=10**7, mode="plain"):
     called program, and costs at least 3 steps.  So
     ``((d) (:= out (univ * d)) out)`` peaks at about 1.2 GB before it
     exhausts the default fuel.  A chain of univ calls takes up to 16
-    Python frames; called too near the recursion limit for that, a run
-    is made again with every univ call in a chain of its own, and gives
-    the same result.
+    Python frames, and a new shape compiled at its end some more: the
+    run compiles and executes with the recursion limit raised by
+    ``_FRAMES`` for those, and restores it on return.
     """
     if len(args) != len(_checked(program).inputs):
         raise ValueError(
@@ -954,18 +946,18 @@ def run(program, args, fuel=10**7, mode="plain"):
     for arg in args:
         if type(arg) is not Atom and type(arg) is not Pair:
             raise TypeError(f"argument {arg!r} is not an s-expression")
-    fn, own = _instance(program, mode == "reflective")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _FRAMES)
     try:
-        return _execute(fn, own, args, fuel, 0)
-    except RecursionError:
-        # runs are deterministic: one whose chains of univ calls outgrew
-        # the caller's stack gives the same result with chains of one
-        return _execute(fn, own, args, fuel, _LAST)
+        fn, own = _instance(program)
+        return _execute(fn, own, args, fuel, mode == "reflective")
+    finally:
+        sys.setrecursionlimit(limit)
 
 
-def _execute(fn, own, args, fuel, first):
-    """Run the compiled function ``fn`` of ``run`` on ``args``, starting
-    each chain of univ calls at position ``first``."""
+def _execute(fn, own, args, fuel, reflective):
+    """Run the compiled function ``fn`` of ``run`` on ``args``, with
+    this run's univ in reflective mode and None in plain mode."""
     # id(q_enc) -> (q_enc, compiled function): holding q_enc pins its id
     programs = {} if own is None else {id(own): (own, fn)}
 
@@ -982,13 +974,13 @@ def _execute(fn, own, args, fuel, first):
                 raise _Fault(f"univ on a non-program: {exc}", steps) from None
             if len(q.inputs) != 1:
                 raise _Fault("univ needs a one-input program", steps)
-            known = programs[id(q_enc)] = (q_enc, _instance(q, True)[0])
+            known = programs[id(q_enc)] = (q_enc, _instance(q)[0])
         if depth < _LAST:
             return known[1](d, steps, fuel, U, depth + 1)
-        return _out(known[1], d, steps, fuel, U, first)
+        return _out(known[1], d, steps, fuel, U)
 
     try:
-        value, steps = _walk(fn(*args, 0, fuel, U, first))
+        value, steps = _walk(fn(*args, 0, fuel, U if reflective else None, 0))
     except _Exhausted:
         return RunResult(None, fuel, RunResult.FUEL)
     except _Fault as f:

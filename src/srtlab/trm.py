@@ -628,10 +628,11 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
     abnormal_halt (anywhere else out of range) or fuel_exhausted
     (``steps`` is then ``fuel``).  The arguments are checked before any
     step runs: ``fuel`` must be an ``int`` (else ``TypeError``; a bool is
-    none) and positive (else ``ValueError``); ``variant`` must be
-    "standard" or "fast_assign" (else ``ValueError``); ``program`` must be
-    a ``TrmProgram`` and ``inputs`` a list or tuple of str (else
-    ``TypeError``), over {1,#} (else ``ValueError``).
+    none) and positive (else ``ValueError``); ``boundary`` must be None
+    or an ``int`` (else ``TypeError``; a bool is neither); ``variant``
+    must be "standard" or "fast_assign" (else ``ValueError``);
+    ``program`` must be a ``TrmProgram`` and ``inputs`` a list or tuple
+    of str (else ``TypeError``), over {1,#} (else ``ValueError``).
 
     ``boundary`` (instruction index) marks where the set-up phase ends:
     ``setup_steps`` records the count when control first reaches it.
@@ -642,6 +643,9 @@ def trm_run(program, inputs, fuel=10**7, variant="standard", boundary=None):
         raise TypeError(f"fuel must be an int, not {type(fuel).__name__}")
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    if boundary is not None and type(boundary) is not int:
+        raise TypeError("boundary must be an int or None, "
+                        f"not {type(boundary).__name__}")
     if variant not in ("standard", "fast_assign"):
         raise ValueError(f"unknown variant {variant!r}")
     fast = variant == "fast_assign"

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from srtlab import flowchart
 from srtlab.build import (
     QA, QNIL, V, asg, atomp, cons, eq, hd, iff, prog, seq, tl, univ, wh,
 )
@@ -167,7 +168,9 @@ def test_operators_agree_at_every_fuel(text, args, mode):
         check_every_fuel(univ_program(), [encode(p), parse(arg)], mode)
 
 
-@pytest.mark.parametrize("text, args, status", [
+#: Programs with ``*`` or univ, each with arguments and the status of a
+#: reflective run, if it is known.
+FAULT_CASES = [
     ("((q d) (:= out (cons q (cons d *))) out)", ["a", "b"], None),
     ("((q d) (; (:= x (cons q d)) (:= out (univ q (hd x)))) out)",
      ["((x) (:= out (cons x x)) out)", "b"], None),
@@ -179,7 +182,10 @@ def test_operators_agree_at_every_fuel(text, args, mode):
      ["((x) (:= out (tl x)) out)", "(1 1 1)"], None),
     ("((q d) (if (= (univ q d) *) (:= out q) (:= out d)) out)",
      ["((x) (:= out x) out)", "(1)"], None),
-])
+]
+
+
+@pytest.mark.parametrize("text, args, status", FAULT_CASES)
 @pytest.mark.parametrize("mode", MODES)
 def test_faults_agree_at_every_fuel(text, args, status, mode):
     p = decode(parse(text))
@@ -190,6 +196,29 @@ def test_faults_agree_at_every_fuel(text, args, status, mode):
         assert got.status == RunResult.ERROR
     elif status is not None:
         assert got.status == status
+
+
+def check_both_orders(build, args, monkeypatch, fuel=10**5):
+    """Run one object from ``build`` in both modes, in both orders, each
+    into an empty shape cache, and at every fuel against the reference:
+    each mode runs the function that the other one compiled."""
+    for order in (MODES, MODES[::-1]):
+        monkeypatch.setattr(flowchart, "_SHAPES", {})
+        p = build()
+        for mode in order:
+            check_every_fuel(p, args, mode, fuel)
+
+
+def test_one_program_object_agrees_in_both_modes(monkeypatch):
+    for text, args, _ in FAULT_CASES:
+        check_both_orders(lambda: dec(text), [parse(a) for a in args], monkeypatch)
+    rng = random.Random(313)
+    callees = _callees(rng)
+    for _ in range(100):
+        seed = rng.randrange(2**32)
+        args = [encode(random_tiny_program(rng, inputs=("d",))), random_sexpr(rng, 9)]
+        check_both_orders(lambda: _reflective_program(random.Random(seed), callees),
+                          args, monkeypatch, fuel=3000)
 
 
 # ---------------------------------------------------------------------------

@@ -590,17 +590,41 @@ def _least_margin(call):
             margin += 1
 
 
-def test_univ_nesting_fits_any_stack_that_run_itself_fits():
-    # too near the limit for a chain of 16 generators, a run is made
-    # again with chains of one; that needs 2 frames more than a run
-    # without univ calls: the caller's P and U
-    entry = _least_margin(lambda: run(dec("((d) (:= out d) out)"), [NIL], 10))
-    for margin in range(40, entry + 1, -1):
+def test_univ_nesting_fits_any_stack_that_run_itself_fits(monkeypatch):
+    # run raises the recursion limit by one budget for the whole run, so
+    # its chains of 16 generators fit wherever a run without univ calls
+    # can be called, and each run executes its program once
+    trivial = dec("((d) (:= out d) out)")
+    entry = _least_margin(lambda: run(trivial, [NIL], 10))
+    executed = []
+    execute = flowchart._execute
+    monkeypatch.setattr(flowchart, "_execute",
+                        lambda *args: executed.append(args) or execute(*args))
+    for margin in range(40, entry - 1, -1):
         p = dec(COUNTDOWN)
+        executed.clear()
         r = _near_the_recursion_limit(
             margin, lambda: run(p, [to_unary(5000)], 10**7, mode="reflective"))
         assert r.halted and r.steps == 10 * 5000 + 5, margin
         assert equal(r.value, to_unary(5000))
+        assert len(executed) == 1, margin
+
+
+@pytest.mark.parametrize("fuel, mode, status", [
+    (10**7, "reflective", RunResult.HALTED),
+    (100, "reflective", RunResult.FUEL),
+    (10**7, "plain", RunResult.ERROR),
+], ids=["halted", "fuel-exhausted", "runtime-error"])
+def test_run_restores_the_recursion_limit(fuel, mode, status, scratch_shapes):
+    # at the top of the stack, and as near its limit as the run fits
+    limit = sys.getrecursionlimit()
+    p = dec(COUNTDOWN)
+
+    def call():
+        return run(p, [to_unary(300)], fuel, mode)
+
+    for r in (call(), _near_the_recursion_limit(_least_margin(call), call)):
+        assert r.status == status and sys.getrecursionlimit() == limit
 
 
 def _ifs(depth):
@@ -613,7 +637,7 @@ def _ifs(depth):
 
 def test_a_new_shape_compiles_at_any_stack_a_compiled_one_runs_at(monkeypatch):
     # emitting and compiling a new shape take more stack than running a
-    # compiled one, so they have a fixed budget of frames of their own
+    # compiled one, and the run's budget of frames holds them
     compiled = _ifs(120)
     want = run(compiled, [parse("(a)")], FUEL)
     assert want.halted and want.steps == 2 * 120 + 3
@@ -626,6 +650,22 @@ def test_a_new_shape_compiles_at_any_stack_a_compiled_one_runs_at(monkeypatch):
         assert flowchart._SHAPES, margin  # the shape was compiled afresh
 
 
+def test_a_new_shape_compiles_at_the_end_of_a_chain_wherever_run_fits(monkeypatch):
+    # the deepest point of a run: a univ call at the end of a chain of 16
+    # compiles 40 nested whiles, as deep as emitted source gets
+    deep = sexpr_print(encode(prog(("d",), _deep(_deep(asg("d", tl(V("d"))))), "d")))
+    text = f"((d) (if d (:= d (univ * (tl d))) (:= d (univ (QUOTE {deep}) d))) d)"
+    want = run(dec(text), [to_unary(15)], FUEL, mode="reflective")
+    assert want.halted and want.steps == 15 * 8 + 7 + 3  # levels, bottom, callee
+    trivial = dec("((d) (:= out d) out)")
+    for margin in range(40, _least_margin(lambda: run(trivial, [NIL], 10)) - 1, -1):
+        monkeypatch.setattr(flowchart, "_SHAPES", {})
+        p = dec(text)
+        r = _near_the_recursion_limit(
+            margin, lambda: run(p, [to_unary(15)], FUEL, mode="reflective"))
+        assert (r.status, r.steps) == (want.status, want.steps), margin
+
+
 def test_outlined_commands_start_at_their_callers_chain_position():
     # a block outlined past _MAX_NEST runs the countdown by univ, and so
     # starts a chain of univ calls: near the recursion limit it runs
@@ -633,8 +673,8 @@ def test_outlined_commands_start_at_their_callers_chain_position():
     body = seq(asg("out", univ(Quote(parse(COUNTDOWN)), V("d"))),
                asg("d", QNIL()))
     p, twin = prog(("d",), _deep(body), "out"), prog(("d",), body, "out")
-    assert "yield B1(" in _Emitter(p, True).source()
-    assert "yield B" not in _Emitter(twin, True).source()
+    assert "yield B1(" in _Emitter(p).source()
+    assert "yield B" not in _Emitter(twin).source()
 
     def runs(program):
         return lambda: run(program, [to_unary(300)], 10**7, mode="reflective")
@@ -654,10 +694,10 @@ def test_univ_calls_nest_by_yield_from_and_outlined_commands_by_yield():
     body = asg("x", univ(V("q"), V("x")))
     for _ in range(20):  # past the outlining depth
         body = wh(V("x"), body)
-    source = _Emitter(prog(("q", "x"), body, "x"), True).source()
+    source = _Emitter(prog(("q", "x"), body, "x")).source()
     assert "= yield from U(v0, v1, s, D)" in source
     assert "= yield B1(" in source and "yield from B" not in source
-    source = _Emitter(dec(COUNTDOWN), True).source()
+    source = _Emitter(dec(COUNTDOWN)).source()
     assert "= yield from (P(t2, s, F, U, D + 1) if OWN and D < 15 " \
            "else U(SELF, t2, s, D))" in source
 
@@ -671,7 +711,7 @@ def test_unbounded_univ_nesting_exhausts_fuel():
 def test_a_loop_test_ending_in_univ_is_not_checked_twice():
     # the callee's final read has just checked the steps against the fuel
     p = dec("((d) (while (univ * (tl d)) (:= d (tl d))) d)")
-    assert "s += 0" not in _Emitter(p, True).source()
+    assert "s += 0" not in _Emitter(p).source()
     for text in ("a", "(a b c)"):
         for fuel in range(1, 201):
             _agree(p, [parse(text)], fuel, "reflective")
@@ -683,8 +723,8 @@ def _compare_with(name):
 
 def test_quoted_atom_names_share_one_compiled_shape(monkeypatch):
     first, second = _compare_with("apple"), _compare_with("pear")
-    source = _Emitter(first, False).source()
-    assert source == _Emitter(second, False).source()
+    source = _Emitter(first).source()
+    assert source == _Emitter(second).source()
     assert "apple" not in source and "equal(" not in source
     assert "K0 = C[0].name" in source and "v0._nm == K0" in source
     args = [parse("pear")]
@@ -701,9 +741,9 @@ def test_quoted_atom_names_share_one_compiled_shape(monkeypatch):
 
 
 def test_a_quoted_pair_keeps_the_general_equality():
-    source = _Emitter(dec("((x) (:= out (= x (QUOTE (a b)))) out)"), False).source()
+    source = _Emitter(dec("((x) (:= out (= x (QUOTE (a b)))) out)")).source()
     assert "equal(" in source and "K0" not in source
-    assert source != _Emitter(_compare_with("a"), False).source()
+    assert source != _Emitter(_compare_with("a")).source()
 
 
 NAMES = ["apple", "pear", "a'b", 'say"hi"', "back\\slash", "\\'\"", "()"]
@@ -721,7 +761,7 @@ NAMES = ["apple", "pear", "a'b", 'say"hi"', "back\\slash", "\\'\"", "()"]
 def test_equality_with_a_quoted_atom_agrees_with_reference(text, k):
     p = dec(text.format(k=k))
     if k != "()":
-        assert k not in _Emitter(p, False).source()
+        assert k not in _Emitter(p).source()
     for x in [*NAMES, "(apple)", "(pear pear)"]:
         for mode in ("plain", "reflective"):
             for fuel in (1, 4, 7, 100):
@@ -736,7 +776,7 @@ def test_equality_with_a_quoted_atom_agrees_with_reference(text, k):
 ])
 def test_cons_into_one_of_its_operands_agrees_with_reference(text):
     p = dec(text)
-    assert "Pair(" not in _Emitter(p, False).source().replace("new(Pair)", "")
+    assert "Pair(" not in _Emitter(p).source().replace("new(Pair)", "")
     for x in ("a", "(a b)", "((a) b)"):
         for fuel in (3, 5, 100):
             _agree(p, [parse(x)], fuel, "plain")

@@ -132,6 +132,7 @@ HINTS = {
     "fuel": st.integers(-3, 64) | st.just(10**4),
     "mode": st.sampled_from(["plain", "reflective"]),
     "variant": st.sampled_from(["standard", "fast_assign"]),
+    "boundary": st.none() | st.integers(-3, 64),
     "stage": st.sampled_from(["target", "compiler", "cogen"]),
     "node": expressions | commands,
 }

@@ -48,11 +48,9 @@ def _two_quotes():
 
 
 def test_a_shared_quote_is_a_back_reference_in_the_shape():
-    for reflective in (False, True):
-        shared = _shape(_shared_quote(), reflective)
-        two = _shape(_two_quotes(), reflective)
-        assert shared[0] != two[0]
-        assert len(shared[3]) == 1 and len(two[3]) == 2
+    shared, two = _shape(_shared_quote()), _shape(_two_quotes())
+    assert shared[0] != two[0]
+    assert len(shared[3]) == 1 and len(two[3]) == 2
     _agrees_in_both_orders(_shared_quote, _two_quotes, [[parse("a")]])
 
 
@@ -69,11 +67,10 @@ REVALUED = ("((x y) (; (:= out (QUOTE z)) (while x (; (if (= (hd x) (QUOTE ()))"
 
 @pytest.mark.parametrize("twin", [RENAMED, REVALUED], ids=["renamed", "revalued"])
 def test_a_twin_shares_the_shape_and_each_runs_as_itself(twin):
-    for reflective in (False, True):
-        assert _shape(dec(LOOP), reflective)[0] == _shape(dec(twin), reflective)[0]
+    assert _shape(dec(LOOP))[0] == _shape(dec(twin))[0]
     _agrees_in_both_orders(lambda: dec(LOOP), lambda: dec(twin), [
         [parse(text), parse("(y)")] for text in ("(a b a)", "(() a (c))", "a")])
-    assert len(_SHAPES) == 2  # one shape in each mode
+    assert len(_SHAPES) == 1  # one shape for both modes
 
 
 def _recursive(name):
@@ -88,10 +85,10 @@ def test_a_name_that_does_not_decode_is_not_taken_from_the_shape(name):
     # the twin's text decodes back to it, so its univ on * calls P; the
     # program's text does not, so its univ on * decodes it, and fails
     build, build_twin = _recursive(name), _recursive("x")
-    assert _shape(build(), True)[0] == _shape(build_twin(), True)[0]
+    assert _shape(build())[0] == _shape(build_twin())[0]
     _SHAPES.clear()
-    assert _instance(build_twin(), True)[1] is not None
-    assert _instance(build(), True)[1] is None
+    assert _instance(build_twin())[1] is not None
+    assert _instance(build())[1] is None
     r = run(build(), [to_unary(2)], 1000, mode="reflective")
     assert r.status == r.ERROR and r.detail.startswith("univ on a non-program")
     _agrees_in_both_orders(build, build_twin,
@@ -131,11 +128,34 @@ def test_generated_programs_and_their_twins_agree_with_reference(seed, loop):
     def build_twin():
         return _twin(build(), random.Random(seed + 1))
 
-    for reflective in (False, True):
-        assert _shape(build(), reflective)[0] == _shape(build_twin(), reflective)[0]
+    assert _shape(build())[0] == _shape(build_twin())[0]
     values = random_inputs(random.Random(seed), 2)
     _agrees_in_both_orders(build, build_twin,
                            [[v] for v in values] if loop else [values])
+
+
+#: A program with ``*`` and univ calls.
+SELF_AND_UNIV = ("((d) (if d (:= out (cons (QUOTE 1) (univ * (tl d))))"
+                 " (:= out (cons * d))) out)")
+
+
+@pytest.mark.parametrize("order", [MODES, MODES[::-1]],
+                         ids=["plain-first", "reflective-first"])
+def test_one_program_is_compiled_once_for_both_modes(order, monkeypatch):
+    # the mode is an argument of the compiled function: plain mode faults
+    # on U is None, so only code with * or univ tests it
+    emitted = []
+    source = _Emitter.source
+    monkeypatch.setattr(_Emitter, "source",
+                        lambda self: emitted.append(source(self)) or emitted[-1])
+    _SHAPES.clear()
+    program = dec(SELF_AND_UNIV)
+    for mode in order:
+        for fuel in FUELS:
+            _agree(program, [to_unary(2)], fuel, mode)
+    assert len(emitted) == 1 and len(_SHAPES) == 1
+    assert emitted[0].count("if U is None: fault(") == 3
+    assert "U is None" not in _Emitter(dec(LOOP)).source()
 
 
 def _tails(k):
@@ -151,14 +171,14 @@ def test_the_shape_cache_keeps_the_most_recently_used_shapes(monkeypatch):
     monkeypatch.setattr(_Emitter, "source",
                         lambda self: emitted.append(self) or source(self))
     _SHAPES.clear()
-    first = _shape(_tails(1), False)[0]
+    first = _shape(_tails(1))[0]
     for k in range(1, 301):
-        _instance(_tails(k), False)
-        _instance(_tails(1), False)  # a hit makes it the most recent
+        _instance(_tails(k))
+        _instance(_tails(1))  # a hit makes it the most recent
     assert len(emitted) == 300 and len(_SHAPES) == _SHAPES_MAX
     assert first in _SHAPES
-    assert _shape(_tails(2), False)[0] not in _SHAPES
-    assert _shape(_tails(300), False)[0] in _SHAPES
+    assert _shape(_tails(2))[0] not in _SHAPES
+    assert _shape(_tails(300))[0] in _SHAPES
 
 
 #: Programs with one value in question, each as (id, the program around

@@ -255,6 +255,19 @@ def test_setup_boundary_splits_the_run():
     assert 0 < r.setup_steps < r.steps
 
 
+@pytest.mark.parametrize("boundary, name", [
+    ("x", "str"), (1.5, "float"), (True, "bool"), (False, "bool"), ([3], "list"),
+], ids=["str", "float", "true", "false", "list"])
+def test_boundary_is_none_or_an_int(boundary, name):
+    # checked before any step, as fuel is; a bool is no boundary either
+    with pytest.raises(TypeError) as info:
+        trm_run(trm_parse("1#1#1#"), [], FUEL, boundary=boundary)
+    assert str(info.value) == f"boundary must be an int or None, not {name}"
+    for good, setup in [(None, None), (-5, 0), (0, 0), (2, 1), (10**30, None)]:
+        assert trm_run(trm_parse("1#1#1#"), [], FUEL, boundary=good).setup_steps \
+            == setup
+
+
 def test_setup_boundary_requires_a_suffix():
     with pytest.raises(ValueError):
         setup_boundary(trm_move(1, 2), trm_move(2, 1))
