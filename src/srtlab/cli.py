@@ -100,13 +100,13 @@ def _cmd_fixpoint(args):
     if args.lang == "flow":
         program = _load_flow(args.prog)
         fixed = (kleene_fixpoint(program) if args.method == "kleene"
-                 else moss_fixpoint(program, args.fuel))
+                 else moss_fixpoint(program))
         print(sexpr_print(encode(fixed)))
         return 0
     program = _load_trm(args.prog)
     fix = (t.trm_kleene_fixpoint if args.method == "kleene"
            else t.trm_moss_fixpoint)
-    print(fix(program, args.fuel).raw)
+    print(fix(program).raw)
     return 0
 
 
@@ -121,7 +121,7 @@ def _cmd_demo(args):
 
 def _cmd_futamura(args):
     source = _load_flow(args.source) if args.source else None
-    print(sexpr_print(encode(futamura(args.stage, source, args.fuel))))
+    print(sexpr_print(encode(futamura(args.stage, source))))
     return 0
 
 
@@ -191,7 +191,7 @@ def _build_parser():
     p.add_argument("--eliminate-dead-code", action="store_true")
     p.set_defaults(fn=_cmd_specialize)
 
-    p = sub.add_parser("fixpoint", parents=[fueled],
+    p = sub.add_parser("fixpoint",
                        help="build a program that can use its own text")
     p.add_argument("prog")
     p.add_argument("--method", choices=("kleene", "moss"), default="kleene")
@@ -202,7 +202,7 @@ def _build_parser():
     p.add_argument("name")
     p.set_defaults(fn=_cmd_demo)
 
-    p = sub.add_parser("futamura", parents=[fueled],
+    p = sub.add_parser("futamura",
                        help="compile by specialising the interpreter")
     p.add_argument("stage", choices=("target", "compiler", "cogen"))
     p.add_argument("source", nargs="?")
@@ -232,7 +232,7 @@ def main(argv=None):
     except BrokenPipeError:  # the reader left: keep the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CliError, ValueError, RuntimeError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

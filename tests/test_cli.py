@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from srtlab.cli import main
 from srtlab.experiments import EXPERIMENTS
 from srtlab.flowchart import decode, encode
+from srtlab.selfint import futamura
 from srtlab.sexpr import parse, sexpr_print
 from srtlab.srt import DEMO_NAMES, demo_program, moss_fixpoint
 
@@ -112,14 +113,21 @@ def test_trm_run_failures_exit_1(capsys, tmp_path, text, argv, err):
     assert (code, out, got) == (1, "", err)
 
 
-def test_flow_moss_fixpoint_honours_fuel(capsys, proj1_file):
-    code, out, err = run_cli(capsys, "fixpoint", proj1_file, "--method",
-                             "moss", "--fuel", "5")
-    assert code == 1 and out == ""
-    assert err == "error: generator run failed: fuel_exhausted\n"
+def test_fixpoint_and_futamura_take_no_fuel(capsys, proj1_file):
+    # the constructions are total, so their verbs have no --fuel to give
+    for argv in (["fixpoint", proj1_file, "--method", "moss"],
+                 ["futamura", "target", proj1_file]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--fuel", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --fuel 5" in capsys.readouterr().err
     code, out, _ = run_cli(capsys, "fixpoint", proj1_file, "--method", "moss")
     assert code == 0
     assert out == sexpr_print(encode(moss_fixpoint(demo_program("proj1")))) + "\n"
+    code, out, _ = run_cli(capsys, "futamura", "target", proj1_file)
+    assert code == 0
+    target = futamura("target", demo_program("proj1"))
+    assert out == sexpr_print(encode(target)) + "\n"
 
 
 def test_fast_assign_flag(capsys, tmp_path):
@@ -198,7 +206,7 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize("fuel", ["0", "-5", "abc", "1.5"])
 @pytest.mark.parametrize("argv", [["run", "f.sexp", "a"],
                                   ["run", "f.1#", "--lang", "trm"],
-                                  ["fixpoint", "f.sexp"],
+                                  ["experiment", "trm-compare"],
                                   ["experiment", "sizes"]])
 def test_bad_fuel_is_a_usage_error(capsys, argv, fuel):
     with pytest.raises(SystemExit) as info:
@@ -295,10 +303,23 @@ def test_experiment_json_is_pinned(capsys, name, digest):
         assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
-def test_experiment_sizes_honours_fuel(capsys):
+def test_experiment_sizes_ignores_fuel(capsys):
+    # it runs no fuel-bounded program: both constructions are total
     code, out, err = run_cli(capsys, "experiment", "sizes", "--fuel", "5")
-    assert code == 1 and out == ""
-    assert err == "error: generator run failed: fuel_exhausted\n"
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "experiment", "sizes") == (0, out, "")
+
+
+def test_trm_compare_on_too_little_fuel_passes_no_verdict(capsys):
+    # the fixpoints build, but the proj1 runs stop short of halting, so no
+    # AC10 verdict may read their figures
+    code, out, err = run_cli(capsys, "experiment", "trm-compare", "--fuel",
+                             "20000")
+    assert (code, err) == (0, "")
+    verdicts = json.loads(out)["verdicts"]
+    assert [v["claim"] for v in verdicts] == [
+        "AC10-moss-setup-window", "AC10-kleene-moss-ratio", "AC10-fast-assign"]
+    assert all(v["status"] == "report-only" for v in verdicts)
 
 
 def test_factorial_curve_exhaustion_rules_are_pinned(capsys):
@@ -342,7 +363,7 @@ VERBS = {
         "--seed": ["0", "7", "-1"]}),
 }
 #: The verbs that take ``--fuel``.
-FUELED = {"run", "fixpoint", "futamura", "experiment"}
+FUELED = {"run", "experiment"}
 NOISE = ["--steps", "--lang", "frobnicate", "-", "--", "1.5", "-1", "", MISSING,
          DIRECTORY]
 PROGRAM_TEXT = "() ab*1#.;:=QUOTE univ while if cons hd tl atom? \né"
@@ -384,7 +405,7 @@ def command_lines(draw):
 def test_generated_command_lines_keep_the_exit_code_contract(files, argv, which,
                                                              fuel):
     # a --fuel last overrides any other, so every run stays short; a verb
-    # without --fuel runs nothing
+    # without --fuel runs nothing, or only a construction, which halts
     with tempfile.TemporaryDirectory() as tmp:
         paths = {MISSING: os.path.join(tmp, "missing"), DIRECTORY: tmp,
                  OUT: os.path.join(tmp, "out.json")}

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srtlab.build import QA, QNIL, V, asg, cons, prog, seq, tl, wh
 from srtlab.flowchart import decode, encode, run
@@ -10,7 +11,7 @@ from srtlab.selfint import (
 )
 from srtlab.sexpr import equal, from_unary, parse, sexpr_print, to_unary
 
-from proggen import random_inputs, random_loop_program
+from proggen import random_inputs, random_loop_program, random_tiny_program
 from reference import dec
 
 FUEL = 10**7
@@ -147,6 +148,22 @@ def test_cogen_generates_the_compiler():
     got = run(cogen, [encode(univ_program())], FUEL)
     assert got.halted
     assert equal(got.value, encode(compiler))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), loops=st.booleans())
+def test_the_first_two_projections_hold_on_generated_programs(seed, loops):
+    # the target agrees with its source, and the compiler builds the target
+    rng = random.Random(seed)
+    source = (random_loop_program(rng) if loops
+              else random_tiny_program(rng, inputs=("d",)))
+    target = futamura("target", source)
+    for d in random_inputs(rng, 2):
+        lhs, rhs = run(target, [d], FUEL), run(source, [d], FUEL)
+        assert lhs.halted and rhs.halted
+        assert equal(lhs.value, rhs.value)
+    got = run(futamura("compiler"), [encode(source)], FUEL)
+    assert got.halted and equal(got.value, encode(target))
 
 
 def test_futamura_is_deterministic():

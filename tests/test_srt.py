@@ -2,8 +2,9 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from srtlab.flowchart import decode, encode, is_tiny, run
+from srtlab.flowchart import Program, decode, encode, is_tiny, run
 from srtlab.selfint import univ_program
 from srtlab.sexpr import (
     dag_size, equal, from_unary, measure, parse, sexpr_print, to_unary,
@@ -11,11 +12,11 @@ from srtlab.sexpr import (
 )
 from srtlab.specializer import s11_program
 from srtlab.srt import (
-    compose, demo_program, diag_program, kleene_fixpoint, kleene_intermediate,
-    moss_fixpoint, moss_qhat, write_program,
+    DEMO_NAMES, compose, demo_program, diag_program, kleene_fixpoint,
+    kleene_intermediate, moss_fixpoint, moss_qhat, write_program,
 )
 
-from proggen import random_inputs, random_tiny_program
+from proggen import random_inputs, random_loop_program, random_tiny_program
 from reference import dec, ref_measure
 
 FUEL = 10**6
@@ -82,6 +83,40 @@ def test_fixpoints_of_straight_line_programs_are_straight_line():
 def test_looping_demos_are_not_straight_line():
     for name in ("factorial_univ", "factorial_reflective", "univ_corner"):
         assert not is_tiny(demo_program(name))
+
+
+def test_the_programs_the_constructions_run_are_straight_line():
+    # so each run halts in a number of steps fixed by the program's text,
+    # and moss_fixpoint and futamura need no fuel and cannot fail
+    assert is_tiny(s11_program())
+    for name in DEMO_NAMES:
+        assert is_tiny(moss_qhat(demo_program(name)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), shape=st.sampled_from(
+    ["straight-line", "loops on the datum", "loops on the self-text"]))
+def test_the_laws_hold_on_generated_programs(seed, shape):
+    # for both constructions: p* agrees with p on its own text, and the
+    # set-up costs one constant per p
+    rng = random.Random(seed)
+    if shape == "straight-line":
+        p = random_tiny_program(rng)
+    else:
+        body = random_loop_program(rng)     # reads x; loops always halt
+        inputs = ("q", "x") if shape == "loops on the datum" else ("x", "d")
+        p = Program(inputs, body.body, body.output)
+    data = random_inputs(rng, 3)
+    for fix in (kleene_fixpoint, moss_fixpoint):
+        pstar = fix(p)
+        text = encode(pstar)
+        offsets = set()
+        for d in data:
+            lhs, rhs = run(pstar, [d], FUEL), run(p, [text, d], FUEL)
+            assert lhs.halted and rhs.halted
+            assert equal(lhs.value, rhs.value)
+            offsets.add(lhs.steps - rhs.steps)
+        assert len(offsets) == 1
 
 
 @pytest.mark.parametrize("method,fix", BOTH)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from srtlab.trm import (
-    TrmParseError, TrmProgram, _chain, _image, _lanes, _loop, setup_boundary,
-    trm_compose, trm_diag_program, trm_erase, trm_kleene_fixpoint, trm_move,
-    trm_moss_fixpoint, trm_moss_qhat, trm_parse, trm_print, trm_run,
-    trm_s11_program, trm_write_program, write_code,
+    TrmParseError, TrmProgram, TrmResult, _chain, _image, _lanes, _loop,
+    setup_boundary, trm_compose, trm_diag_program, trm_erase,
+    trm_kleene_fixpoint, trm_move, trm_moss_fixpoint, trm_moss_qhat,
+    trm_parse, trm_print, trm_run, trm_s11_program, trm_write_program,
+    write_code,
 )
 
 from reference import ref_run, ref_scan
@@ -738,6 +739,30 @@ def test_runner_matches_the_reference_on_generated_programs():
     statuses = set()
     agrees_on_generated_programs(statuses)
     assert statuses == {"halted", "abnormal_halt", "fuel_exhausted"}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(blocks=st.lists(toolkit_blocks, max_size=4), data=symbols)
+def test_fixpoints_of_generated_bases_obey_the_srt_equation(blocks, data):
+    # each toolkit block halts, and images may multiply a register's length
+    # by each block, so the fuel is large; summed-up blocks make it cheap
+    base = trm_parse("".join(blocks))
+    for fix in (trm_moss_fixpoint, trm_kleene_fixpoint):
+        pstar = fix(base)
+        for variant in VARIANTS:
+            lhs = trm_run(pstar, [data], 10**9, variant=variant)
+            rhs = trm_run(base, [pstar.raw, data], 10**9, variant=variant)
+            assert lhs.status == rhs.status == TrmResult.HALTED
+            assert lhs.output == rhs.output
+
+
+def test_fixpoints_build_for_a_base_of_any_size():
+    # at about 116 (Moss) and 41 (Kleene) steps per base symbol, a fuel of
+    # 10^7 would cap the base at about 86k and 244k symbols
+    base = trm_parse(trm_move(2, 1).raw * 6700)
+    assert len(base.raw) == 301500
+    for fix in (trm_moss_fixpoint, trm_kleene_fixpoint):
+        assert setup_boundary(fix(base), base) > 1    # base is a suffix
 
 
 # ---------------------------------------------------------------------------
