@@ -213,8 +213,9 @@ def experiment_trm_compare(fuel=DEFAULT_FUEL, seed=0):
     """Moss vs Kleene on the register machine, and the fast-assign variant.
 
     The headline verdicts are taken on the smallest base program; the
-    other bases are reported as datapoints.  The fixpoints build whatever
-    the fuel; it bounds the runs of them, and a verdict that reads a run
+    other bases are reported as datapoints, each with the status of its
+    standard and its fast_assign run.  The fixpoints build whatever the
+    fuel; it bounds the runs of them, and a verdict that reads a run
     that did not halt is report-only.
     """
     report = Report("trm-compare", seed, {"fuel": fuel, "datum": _TRM_DATUM,
@@ -230,7 +231,8 @@ def experiment_trm_compare(fuel=DEFAULT_FUEL, seed=0):
             fast = t.trm_run(pstar, [_TRM_DATUM], fuel, variant="fast_assign")
             report.point(name, construction=label,
                          program_chars=len(pstar.raw), steps=r.steps,
-                         setup_steps=r.setup_steps, fast_steps=fast.steps)
+                         status=r.status, setup_steps=r.setup_steps,
+                         fast_steps=fast.steps, fast_status=fast.status)
             if name == "proj1":
                 headline[label], headline[label + "_fast"] = r, fast
 

@@ -298,10 +298,21 @@ def decode(s, allow_reserved=False):
 
     ``allow_reserved`` admits '%'-prefixed variables, which only appear
     in machine-generated programs; hand-written source is rejected.
-    Every node, and the program, keeps its source as its encoding.  A
-    ``TypeError`` if ``s`` is not an ``Atom`` or a ``Pair``.
+    Every node, and the program, keeps its source as its encoding.  The
+    result shares no node with any other program.  A ``TypeError`` if
+    ``s`` is not an ``Atom`` or a ``Pair``.
     """
     _check_value(s, "decode's argument")
+    return _decode(s, (), allow_reserved)
+
+
+def _decode(s, reuse, allow_reserved):
+    """``decode``, except that a command whose source is, by identity,
+    the encoding of one of the command nodes ``reuse`` is that node,
+    shared and not decoded again.  That is exact only for nodes whose
+    encoding decodes back to them: no variable named ``*`` (decoded as
+    ``SelfRef``) or ``()`` (rejected) under them.  The constructions
+    pass the bodies their generators copy into the text they emit."""
     inputs_s, body_s, output_s = _expect_list(s, 3, "program")
     inputs = []
     rest = inputs_s
@@ -310,7 +321,9 @@ def decode(s, allow_reserved=False):
         rest = rest.tail
     if not is_nil(rest):
         raise DecodeError("input list is improper", inputs_s)
-    body = _decode_body(body_s, allow_reserved)
+    # each node holds its encoding, so no id here is reused during the decode
+    known = {id(encode(node)): node for node in reuse}
+    body = _decode_body(body_s, known, allow_reserved)
     output = _decode_varname(output_s, allow_reserved, "output variable")
     try:
         program = Program(inputs, body, output)
@@ -320,26 +333,51 @@ def decode(s, allow_reserved=False):
     return program
 
 
-def _decode_body(s, allow_reserved):
+def _decode_body(s, known, allow_reserved):
     """Decode a command top-down, each node before its children, so the
-    first malformed subtree in left-to-right order is the one reported."""
+    first malformed subtree in left-to-right order is the one reported.
+    A command whose source is a key of ``known``, an ``id`` of the
+    encoding of a node held there, is that node: the result shares it.
+    Every other node is new and keeps its source as its encoding.  Each
+    node takes one ``_TAGGED`` lookup; variables and lists are read in
+    line, and ``_decode_varname`` (for them) and ``_expect_list`` are
+    called only to raise their errors."""
     new = object.__new__
     top = new(Seq)  # a scratch parent: its first field receives the root
     todo = [(s, _CMD, top, "first")]
     while todo:
         s, category, parent, slot = todo.pop()
-        if type(s) is Atom and category is _EXPR:
-            node = new(SelfRef if s.name == "*" else Var)
-            if type(node) is Var:
-                node.name = _decode_varname(s, allow_reserved, _ROWS[Var][2])
-        elif type(s) is not Pair or type(s.head) is not Atom:
-            raise DecodeError("expected a command" if category is _CMD else
-                              "expression head must be an operator atom", s)
-        elif s.head.name not in _TAGGED[category]:
-            raise DecodeError(f"unknown {category} tag", s)
+        if type(s) is Atom:
+            if category is _CMD:
+                raise DecodeError("expected a command", s)
+            name = s.name
+            if name == "*":
+                node = new(SelfRef)
+            elif name != "()" and (allow_reserved
+                                   or not name.startswith(RESERVED_PREFIX)):
+                node = new(Var)
+                node.name = name
+            else:
+                _decode_varname(s, allow_reserved, "variable")  # raises
+        elif category is _CMD and id(s) in known:
+            setattr(parent, slot, known[id(s)])
+            continue
         else:
-            cls, what, arity, fields = _TAGGED[category][s.head.name]
-            items = _expect_list(s, arity, what)
+            head = s.head
+            if type(head) is not Atom:
+                raise DecodeError("expected a command" if category is _CMD else
+                                  "expression head must be an operator atom", s)
+            row = _TAGGED[category].get(head.name)
+            if row is None:
+                raise DecodeError(f"unknown {category} tag", s)
+            cls, what, arity, fields = row
+            items = []
+            rest = s
+            while type(rest) is Pair:
+                items.append(rest.head)
+                rest = rest.tail
+            if len(items) != arity or rest.name != "()":
+                _expect_list(s, arity, what)  # raises
             node = new(cls)
             for i, field, kind in fields:
                 if kind is _NAME:

@@ -22,7 +22,7 @@ import functools
 
 from .build import QA, QNIL, V, asg, atomp, cons, eq, hd, iff, seq, tl, wh
 from .flowchart import (
-    RESERVED_PREFIX, Program, Quote, _checked, decode, encode, run,
+    RESERVED_PREFIX, Program, Quote, _checked, _decode, encode, run,
 )
 from .sexpr import NIL, Atom, Pair, tree_size
 from .specializer import s11_program
@@ -310,18 +310,23 @@ def futamura(stage, source=None):
     Every stage is produced by actually running the specialiser program,
     so repeated calls give structurally identical results.  The
     specialiser is straight-line, so each run halts in a fixed 44 steps,
-    far within ``run``'s default fuel: every stage is total.
+    far within ``run``'s default fuel: every stage is total.  Its text
+    holds the body of the program it specialises as it is, so only the
+    code around that body is decoded: the target shares
+    ``univ_program()``'s body, and the compiler and cogen share
+    ``s11_program()``'s.
     """
     s11 = s11_program()
     u = univ_program()
     if stage == "target":
         if source is None:
             raise ValueError("stage 'target' needs a source program")
-        args = [encode(u), encode(_checked(source))]
+        subject, datum = u, _checked(source)
     elif stage == "compiler":
-        args = [encode(s11), encode(u)]
+        subject, datum = s11, u
     elif stage == "cogen":
-        args = [encode(s11), encode(s11)]
+        subject, datum = s11, s11
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    return decode(run(s11, args).value, allow_reserved=True)
+    text = run(s11, [encode(subject), encode(datum)]).value
+    return _decode(text, (subject.body,), True)

@@ -11,12 +11,14 @@ Both constructions only ever insert code around p's body; if p is
 straight-line, so is its fixpoint, and it runs in constant time.
 """
 
+import functools
+
 from .build import (
     QA, QNIL, V, asg, cons, eq, hd, iff, lst, prog, seq, tl, univ, wh,
 )
 from .flowchart import (
     Program, Quote, RESERVED_PREFIX, Seq, SelfRef, _checked, command_vars,
-    decode, encode, rename_command, run,
+    _decode, encode, rename_command, run,
 )
 from .selfint import univ_program
 from .sexpr import NIL, Atom, Pair, from_list
@@ -34,12 +36,18 @@ def _program_vars(program):
             | set(program.inputs) | {program.output})
 
 
-def _check_no_reserved(program, what):
-    bad = sorted(v for v in _program_vars(program)
-                 if v.startswith(RESERVED_PREFIX))
+def _base_vars(p):
+    """The variables of ``p``, which must be a two-input program that
+    uses no reserved name (else ``ValueError``): the one walk of a base
+    program's variables that each construction makes."""
+    if len(_checked(p).inputs) != 2:
+        raise ValueError("the construction takes two-input programs")
+    names = _program_vars(p)
+    bad = sorted(v for v in names if v.startswith(RESERVED_PREFIX))
     if bad:
-        raise ValueError(
-            f"{what} must not use '{RESERVED_PREFIX}'-prefixed variables: {bad}")
+        raise ValueError(f"the base program must not use "
+                         f"'{RESERVED_PREFIX}'-prefixed variables: {bad}")
+    return names
 
 
 #: Every variable of the specialiser program, which the constructions
@@ -52,25 +60,31 @@ def kleene_intermediate(p):
 
     Reads (q, d), specialises q to itself using an inlined copy of the
     specialiser body (its working variables moved into the reserved
-    namespace), then runs p's body on the result.
+    namespace), then runs p's body on the result.  That copy is built
+    once per process, so every result shares it, and each shares p's
+    body with p.
     """
-    if len(_checked(p).inputs) != 2:
-        raise ValueError("the construction takes two-input programs")
-    _check_no_reserved(p, "the base program")
+    _base_vars(p)
     q = p.inputs[0]
-    renaming = {name: RESERVED_PREFIX + name for name in _SPEC_VARS}
-    spec_body = rename_command(s11_program().body, renaming)
     return Program(
         p.inputs,
         seq(
             asg(RESERVED_PREFIX + "pgm", V(q)),
             asg(RESERVED_PREFIX + "s", V(q)),
-            spec_body,
+            _reserved_spec_body(),
             asg(q, V(RESERVED_PREFIX + "outpgm")),
             p.body,
         ),
         p.output,
     )
+
+
+@functools.cache
+def _reserved_spec_body():
+    """The specialiser body with its working variables moved into the
+    reserved namespace, built once per process."""
+    renaming = {name: RESERVED_PREFIX + name for name in _SPEC_VARS}
+    return rename_command(s11_program().body, renaming)
 
 
 def kleene_fixpoint(p):
@@ -87,11 +101,14 @@ def write_program():
     return prog(("x",), body, "out")
 
 
+@functools.cache
 def diag_program():
     """Self-application generator: on an encoded one-input program r,
     emits a program that runs r on r's own text.
 
     This is the specialiser body with both of its inputs identified.
+    Built once per process; every caller shares the one ``Program``,
+    and every ``moss_qhat`` shares its body.
     """
     body = rename_command(s11_program().body, {"pgm": "r", "s": "r"})
     return prog(("r",), body, "outpgm")
@@ -105,10 +122,11 @@ def compose(p, q):
     """
     if len(_checked(p).inputs) != 1 or len(_checked(q).inputs) != 1:
         raise ValueError("composition takes one-input programs")
-    taken = _program_vars(p) | _program_vars(q)
+    q_vars = _program_vars(q)
+    taken = _program_vars(p) | q_vars
     mapping = {}
     counter = 0
-    for name in sorted(_program_vars(q) - {q.inputs[0]}):
+    for name in sorted(q_vars - {q.inputs[0]}):
         while True:
             counter += 1
             fresh = f"{RESERVED_PREFIX}c{counter}"
@@ -139,10 +157,12 @@ def moss_qhat(p):
     stashed input to p's body.  Then moss_fixpoint(p) is just qhat run
     on its own text.
     """
-    if len(_checked(p).inputs) != 2:
-        raise ValueError("the construction takes two-input programs")
-    _check_no_reserved(p, "the base program")
-    clashes = sorted(_program_vars(p) & _BUILDER_VARS)
+    return _qhat(p, _base_vars(p))
+
+
+def _qhat(p, names):
+    """``moss_qhat`` of p, given ``_base_vars(p)``."""
+    clashes = sorted(names & _BUILDER_VARS)
     if clashes:
         raise ValueError(f"base program reuses builder variables: {clashes}")
     qv, dv = p.inputs
@@ -174,10 +194,15 @@ def moss_fixpoint(p):
 
     qhat is straight-line whatever p is (p's body is only quoted), so
     the run halts in a fixed 95 steps, far within ``run``'s default
-    fuel: the construction is total.
+    fuel: the construction is total.  Its text holds qhat's body and
+    p's body as they are, so the result shares qhat's body, and p's
+    body unless p has a variable named ``*`` or ``()``, which would
+    decode otherwise; only the code around them is decoded.
     """
-    qhat = moss_qhat(p)
-    return decode(run(qhat, [encode(qhat)]).value, allow_reserved=True)
+    names = _base_vars(p)
+    qhat = _qhat(p, names)
+    reuse = (qhat.body,) if "*" in names or "()" in names else (qhat.body, p.body)
+    return _decode(run(qhat, [encode(qhat)]).value, reuse, True)
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def test_experiment_to_stdout(capsys):
 
 @pytest.mark.parametrize("name,digest", [
     ("sizes", "e129689f53c6"),
-    ("trm-compare", "c038fffecab7"),
+    ("trm-compare", "893a02f0e2e0"),
     ("overhead", "1acd12254346"),
     ("factorial-curve", "cc378a8dc3db"),
 ])
@@ -316,10 +316,15 @@ def test_trm_compare_on_too_little_fuel_passes_no_verdict(capsys):
     code, out, err = run_cli(capsys, "experiment", "trm-compare", "--fuel",
                              "20000")
     assert (code, err) == (0, "")
-    verdicts = json.loads(out)["verdicts"]
+    report = json.loads(out)
+    verdicts = report["verdicts"]
     assert [v["claim"] for v in verdicts] == [
         "AC10-moss-setup-window", "AC10-kleene-moss-ratio", "AC10-fast-assign"]
     assert all(v["status"] == "report-only" for v in verdicts)
+    # each datapoint says that its standard run stopped at the fuel
+    assert all((p["steps"], p["status"]) == (20000, "fuel_exhausted")
+               for p in report["datapoints"])
+    assert all(p["fast_status"] == "halted" for p in report["datapoints"])
 
 
 def test_factorial_curve_exhaustion_rules_are_pinned(capsys):

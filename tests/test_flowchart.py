@@ -130,6 +130,7 @@ LONG_TAG = "(bogus " + " ".join(["abcdefgh"] * 12) + ")"
     ("((q) (bogus q) out)", "unknown command tag: (bogus q)"),
     ("((q) (:= out (frob q)) out)", "unknown expression tag: (frob q)"),
     ("((q) (while q . x) out)", "improper list in while: (while q . x)"),
+    ("((q) (while q x . y) out)", "improper list in while: (while q x . y)"),
     ("((q) (while x) x)", "wrong arity for while: (while x)"),
     ("((q) (:= out ()) out)", "variable must be a non-() atom: ()"),
     ("((q) (:= out %x) out)", "variable uses the reserved '%' prefix: %x"),

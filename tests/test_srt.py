@@ -4,11 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srtlab.flowchart import Program, decode, encode, is_tiny, run
-from srtlab.selfint import univ_program
+from srtlab.flowchart import (
+    Assign, Cons, DecodeError, Program, Seq, SelfRef, Var, _nodes, decode,
+    encode, is_tiny, run,
+)
+from srtlab.selfint import futamura, univ_program
 from srtlab.sexpr import (
-    dag_size, equal, from_unary, measure, parse, sexpr_print, to_unary,
-    tree_size,
+    Atom, Pair, dag_size, equal, from_unary, measure, parse, sexpr_print,
+    to_unary, tree_size,
 )
 from srtlab.specializer import s11_program
 from srtlab.srt import (
@@ -117,6 +120,90 @@ def test_the_laws_hold_on_generated_programs(seed, shape):
             assert equal(lhs.value, rhs.value)
             offsets.add(lhs.steps - rhs.steps)
         assert len(offsets) == 1
+
+
+# --------------------------------------------------------------------------
+# what the generated programs share
+
+def assert_same_tree(got, want):
+    """Node for node, in prefix order: the same kinds and names, quoted
+    values and encodings by identity."""
+    for a, b in zip(_nodes(got), _nodes(want), strict=True):
+        assert type(a) is type(b) and a._enc is b._enc
+        for field in type(a).__slots__:
+            x, y = getattr(a, field), getattr(b, field)
+            if type(x) is str:
+                assert x == y
+            elif type(x) is Atom or type(x) is Pair:
+                assert x is y
+
+
+def assert_decodes_as_its_text(program):
+    # a full decode of the text the generator emitted, which is the
+    # result's encoding, gives the same tree, text and sizes
+    full = decode(encode(program), allow_reserved=True)
+    assert (program.inputs, program.output) == (full.inputs, full.output)
+    assert_same_tree(program.body, full.body)
+    again = [encode(Program(q.inputs, q.body, q.output)) for q in (program, full)]
+    assert sexpr_print(again[0]) == sexpr_print(again[1])
+    assert measure(again[0]) == measure(again[1])
+
+
+def shares(program, node):
+    return any(n is node for n in _nodes(program.body))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32),
+       kind=st.sampled_from(["straight-line", "loops"] + list(DEMO_NAMES)))
+def test_constructions_equal_a_full_decode_of_their_text(seed, kind):
+    rng = random.Random(seed)
+    if kind == "straight-line":
+        p = random_tiny_program(rng)
+    elif kind == "loops":
+        body = random_loop_program(rng)
+        p = Program(("q", "x"), body.body, body.output)
+    else:
+        p = demo_program(kind)
+    pstar = moss_fixpoint(p)
+    assert shares(pstar, p.body)
+    for program in (pstar, futamura("target", p), futamura("compiler"),
+                    futamura("cogen")):
+        assert_decodes_as_its_text(program)
+
+
+#: Bases whose body does not decode back to itself: an atom * decodes as
+#: SelfRef, and () is no variable.  The digests and sizes are those the
+#: Moss fixpoint had when it decoded the whole text.
+READS_STAR = Program(("q", "d"), Assign("out", Cons(Var("*"), Var("d"))), "out")
+ASSIGNS_NIL = Program(("q", "d"), Seq(Assign("()", Var("d")),
+                                      Assign("out", Var("()"))), "out")
+
+
+def test_moss_decodes_a_base_body_that_does_not_round_trip():
+    pstar = moss_fixpoint(READS_STAR)
+    text = sexpr_print(encode(pstar))
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == "4988e83239b4"
+    assert measure(encode(pstar)) == (1007, 399)
+    assert_decodes_as_its_text(pstar)
+    assert not any(shares(pstar, n) for n in _nodes(READS_STAR.body))
+    assert sum(type(n) is SelfRef for n in _nodes(pstar.body)) == 1
+    with pytest.raises(DecodeError) as info:
+        moss_fixpoint(ASSIGNS_NIL)
+    assert str(info.value) == "assigned variable must be a non-() atom: ()"
+
+
+def test_constructions_share_their_fixed_parts():
+    assert diag_program() is diag_program()
+    assert futamura("target", demo_program("proj1")).body.second is univ_program().body
+    for stage in ("compiler", "cogen"):
+        assert futamura(stage).body.second is s11_program().body
+    first, second = (kleene_intermediate(demo_program(name)).body.second.second
+                     for name in ("proj1", "interchange"))
+    assert first.first is second.first
+    p = demo_program("proj2")
+    assert shares(kleene_fixpoint(p), p.body)
+    assert shares(moss_fixpoint(p), moss_qhat(p).body.first)
 
 
 @pytest.mark.parametrize("method,fix", BOTH)

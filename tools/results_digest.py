@@ -12,10 +12,16 @@ and after the change and comparing the output.  The sections:
   fixpoints of the trm-compare bases and of seeded toolkit bases, in
   both variants, with and without the set-up boundary;
 * ``texts``: the printed text of every fixpoint above and of every
-  Futamura stage;
+  Futamura stage, and of both fixpoints and the Futamura target of
+  seeded straight-line bases (the ``construct`` benchmark's kind, parsed
+  from text) and of two hand-built bases with a variable named ``*`` or
+  ``()``, whose runs are in ``flowchart runs`` too; a construction that
+  raises is entered as its error;
+* ``sizes``: the tree and DAG size, ``measure(encode(...))``, of each
+  flowchart construction in ``texts``;
 * ``experiment <name>``: each experiment's report at its defaults.
 
-It imports the tree it sits in (its ``src`` and ``tests``), not the
+It imports the tree it sits in (its ``src``, ``tests`` and ``bench``), not the
 working directory, so copy it into a clone of the commit to compare
 with.  It passes the constructions no fuel, so the same file runs on a
 tree whose constructions take a fuel argument and on one whose
@@ -30,16 +36,19 @@ import random
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 from srtlab import trm as t
 from srtlab.experiments import EXPERIMENTS, _TRM_BASES, _trm_base
-from srtlab.flowchart import encode, run
+from srtlab.flowchart import (
+    Assign, Cons, Program, Seq, Var, decode, encode, run,
+)
 from srtlab.selfint import futamura
-from srtlab.sexpr import parse, sexpr_print, to_unary
+from srtlab.sexpr import measure, parse, sexpr_print, to_unary
 from srtlab.srt import (
     DEMO_NAMES, demo_program, kleene_fixpoint, moss_fixpoint,
 )
+from inputs import straight_line
 from proggen import (
     random_inputs, random_loop_program, random_tiny_program,
 )
@@ -83,7 +92,37 @@ def _trm_toolkit(rng):
     return t.trm_parse("".join(pieces))
 
 
-def flowchart_runs(texts):
+#: Bases whose body does not decode back to itself: an atom * decodes
+#: as SelfRef, and () is no variable.
+ODD_BASES = (
+    Program(("q", "d"), Assign("out", Cons(Var("*"), Var("d"))), "out"),
+    Program(("q", "d"), Seq(Assign("()", Var("d")), Assign("out", Var("()"))),
+            "out"),
+)
+
+
+def _printed(program, texts, sizes):
+    encoded = encode(program)
+    texts.append(sexpr_print(encoded))
+    sizes.append(str(measure(encoded)))
+
+
+def _constructions(p, lines, texts, sizes):
+    """Both fixpoints and the Futamura target of the base ``p``: texts,
+    sizes and runs, or the error a construction raises."""
+    for build in (kleene_fixpoint, moss_fixpoint,
+                  lambda p: futamura("target", p)):
+        try:
+            program = build(p)
+        except ValueError as exc:
+            texts.append(f"{type(exc).__name__}: {exc}")
+            continue
+        _printed(program, texts, sizes)
+        for d in FLOW_DATA:
+            _flow_runs(program, [d], lines)
+
+
+def flowchart_runs(texts, sizes):
     lines = []
     for seed in SEEDS:
         rng = random.Random(seed)
@@ -91,17 +130,21 @@ def flowchart_runs(texts):
         _flow_runs(p, random_inputs(rng, 2), lines)
         p = random_loop_program(rng)
         _flow_runs(p, random_inputs(rng, 1), lines)
-        texts.append(sexpr_print(encode(futamura("target", p))))
+        _printed(futamura("target", p), texts, sizes)
     for name in DEMO_NAMES:
         for fix in (kleene_fixpoint, moss_fixpoint):
             pstar = fix(demo_program(name))
-            texts.append(sexpr_print(encode(pstar)))
+            _printed(pstar, texts, sizes)
             for d in FLOW_DATA:
                 _flow_runs(pstar, [d], lines)
-        target = futamura("target", demo_program(name))
-        texts.append(sexpr_print(encode(target)))
+        _printed(futamura("target", demo_program(name)), texts, sizes)
     for stage in ("compiler", "cogen"):
-        texts.append(sexpr_print(encode(futamura(stage))))
+        _printed(futamura(stage), texts, sizes)
+    for seed in SEEDS[:50]:
+        base = decode(parse(straight_line(random.Random(f"digest-{seed}"))))
+        _constructions(base, lines, texts, sizes)
+    for base in ODD_BASES:
+        _constructions(base, lines, texts, sizes)
     return lines
 
 
@@ -128,10 +171,11 @@ def trm_runs(texts):
 
 
 def main():
-    texts = []
-    sections = [("flowchart runs", flowchart_runs(texts)),
+    texts, sizes = [], []
+    sections = [("flowchart runs", flowchart_runs(texts, sizes)),
                 ("1# runs", trm_runs(texts)),
-                ("texts", texts)]
+                ("texts", texts),
+                ("sizes", sizes)]
     sections += [(f"experiment {name}", [EXPERIMENTS[name]().to_json()])
                  for name in sorted(EXPERIMENTS)]
     for label, lines in sections:
